@@ -111,33 +111,6 @@ BM_TageArenaLookup(benchmark::State &state)
 BENCHMARK(BM_TageArenaLookup)->Unit(benchmark::kMillisecond);
 
 static void
-BM_BatchedPrefetch(benchmark::State &state)
-{
-    // The streaming engine's software-prefetch lookahead (Arg, in
-    // records; 0 = off).  Results are bit-identical at every Arg — the
-    // rows differ only in how early the next branches' table lines are
-    // hinted into cache.
-    const Trace &trace = sharedTrace();
-    SimOptions opt;
-    opt.prefetchLookahead = static_cast<unsigned>(state.range(0));
-    std::uint64_t mispredictions = 0;
-    for (auto _ : state) {
-        PredictorPtr pred = makePredictor("tage-gsc");
-        const SimResult r = simulate(*pred, trace, opt);
-        mispredictions = r.mispredictions;
-        benchmark::DoNotOptimize(mispredictions);
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(trace.size()));
-    state.SetLabel("branches/s");
-}
-BENCHMARK(BM_BatchedPrefetch)
-    ->Unit(benchmark::kMillisecond)
-    ->Arg(0)
-    ->Arg(8)
-    ->Arg(16);
-
-static void
 BM_PipelineCommit(benchmark::State &state)
 {
     // Pipeline-engine throughput at update delay Arg: the commit

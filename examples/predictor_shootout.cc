@@ -74,6 +74,8 @@ try {
         throw std::runtime_error(
             "--phase-interval requires --metrics FILE");
     }
+    // Every flag has been read: a leftover one is a typo, not a default.
+    cli.rejectUnreadFlags();
 
     imli::TableWriter table(
         sim.usePipeline()

@@ -32,10 +32,6 @@
  *                      immediate engine.  Per-config delays also work via
  *                      the spec key, e.g. --configs
  *                      'tage-gsc+i,tage-gsc+i@sim.delay=63')
- *                     [--prefetch N]  (software-prefetch lookahead in
- *                      records, 0..64; a pure throughput knob — results
- *                      are bit-identical at any value.  Per-config via
- *                      the sim.prefetch spec key)
  *                     [--metrics FILE]  (export predictor-internals
  *                      metrics as JSON; see src/obs/metrics.hh.  Off by
  *                      default and provably inert when off: prediction
@@ -126,9 +122,6 @@ try {
     // Pipeline engine selection: --update-delay N (strict; 0 is the
     // bit-identity oracle) or bare --pipeline (delay 0).
     applyPipelineFlags(cli, options.sim);
-    // Software-prefetch lookahead: --prefetch N (throughput knob only;
-    // results are bit-identical at any value).
-    applyPrefetchFlag(cli, options.sim);
 
     // Observation layer: entirely absent unless requested, so the default
     // path keeps its inertness guarantee (no registry, no probes).
@@ -147,9 +140,28 @@ try {
             "--phase-interval requires --metrics FILE");
     }
 
+    cli.rejectValuedBool("progress");
+    std::size_t heartbeatDone = 0;
+    std::mutex heartbeatMutex; // progress fires from worker threads
+    if (cli.getBool("progress")) {
+        const std::size_t totalCells = benchmarks.size() * configs.size();
+        options.progress = [&, totalCells](const std::string &name,
+                                           std::size_t) {
+            std::lock_guard<std::mutex> lock(heartbeatMutex);
+            ++heartbeatDone;
+            std::cerr << "[suite_report] " << heartbeatDone << "/"
+                      << totalCells << " cells (" << name << ")\n";
+        };
+    }
+
+    // Every flag has been read: a leftover one is a typo or a removed
+    // option, so fail before opening any output or simulating anything.
+    const bool wantTraceEvents = cli.has("trace-events");
+    cli.rejectUnreadFlags();
+
     std::ofstream traceFile;
     std::unique_ptr<obs::TraceEventWriter> traceWriter;
-    if (cli.has("trace-events")) {
+    if (wantTraceEvents) {
         // One stream, one cell: interleaved cells would share the writer,
         // and the immediate engine emits no events at all.
         if (!options.sim.usePipeline())
@@ -169,20 +181,6 @@ try {
                 "--trace-events: cannot open " + path + " for writing");
         traceWriter = std::make_unique<obs::TraceEventWriter>(traceFile);
         options.traceEvents = traceWriter.get();
-    }
-
-    cli.rejectValuedBool("progress");
-    std::size_t heartbeatDone = 0;
-    std::mutex heartbeatMutex; // progress fires from worker threads
-    if (cli.getBool("progress")) {
-        const std::size_t totalCells = benchmarks.size() * configs.size();
-        options.progress = [&, totalCells](const std::string &name,
-                                           std::size_t) {
-            std::lock_guard<std::mutex> lock(heartbeatMutex);
-            ++heartbeatDone;
-            std::cerr << "[suite_report] " << heartbeatDone << "/"
-                      << totalCells << " cells (" << name << ")\n";
-        };
     }
 
     const SuiteResults results = runSuite(benchmarks, configs, options);

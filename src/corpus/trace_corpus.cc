@@ -283,8 +283,10 @@ TraceCorpus::fingerprint(const BenchmarkSpec &spec,
     // without generating the whole trace.
     fnv.mixU64(spec.seed);
     fnv.mixU64(target_branches);
+    // One prefix-sized chunk: generating (and allocating) a default
+    // chunk would cost 16x the records the hash reads.
     const std::unique_ptr<BranchSource> source =
-        makeBranchSource(spec, target_branches);
+        makeBranchSource(spec, target_branches, kFingerprintRecords);
     std::size_t mixed = 0;
     for (BranchSpan span = source->nextChunk();
          !span.empty() && mixed < kFingerprintRecords;

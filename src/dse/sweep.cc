@@ -63,13 +63,10 @@ journalMeta(const std::vector<BenchmarkSpec> &benchmarks,
             const SweepOptions &options)
 {
     // Everything that changes the simulated counters belongs here; the
-    // chunk size, worker count and prefetch lookahead are scheduling
-    // details that provably do not (bit-identity is tested), so they are
-    // deliberately absent — a journal recorded without prefetching
-    // resumes under a run-level lookahead and vice versa.  A per-point
-    // sim.delay or sim.prefetch is not needed either: each is part of
-    // the point's canonical spec, so it already distinguishes journal
-    // rows.
+    // chunk size and worker count are scheduling details that provably
+    // do not (bit-identity is tested), so they are deliberately absent.
+    // A per-point sim.delay is not needed either: it is part of the
+    // point's canonical spec, so it already distinguishes journal rows.
     std::string meta =
         "#sweep branches=" + std::to_string(options.branchesPerTrace) +
         " warmup=" + std::to_string(options.sim.warmupBranches);

@@ -3,9 +3,8 @@
  * Zero-overhead metrics registry: named counters / histograms / gauges
  * with per-predictor scoping, behind nullable Probe handles.
  *
- * Discipline (the same one PR 7 established for sim.prefetch): the
- * instrumentation is OFF by default, provably inert when off, and never
- * enters a journal fingerprint.  Three layers:
+ * Discipline: the instrumentation is OFF by default, provably inert when
+ * off, and never enters a journal fingerprint.  Three layers:
  *
  *  - Probe handles (ProbeCounter / ProbeHistogram): the only thing that
  *    lives on a hot path.  A probe is a single nullable pointer into a

@@ -48,15 +48,6 @@ class BimodalPredictor : public ConditionalPredictor
 
     void train(std::uint64_t pc, bool taken);
 
-    /** Hint the counter line for @p pc into cache (PC-indexed: exact). */
-    void
-    prefetchEntry(std::uint64_t pc) const
-    {
-        __builtin_prefetch(table.data() + index(pc), 0, 1);
-    }
-
-    void prefetch(std::uint64_t pc) const override { prefetchEntry(pc); }
-
   private:
     unsigned index(std::uint64_t pc) const;
 

@@ -26,11 +26,10 @@
  *   storage()    = accountHost(acct)            [virtual: core ledger]
  *                  then imli / loop / itl / wormhole line items
  *
- * A concrete host supplies only its core: the three `*Host` hooks plus
- * a `prefetch()` override.  The composition order is load-bearing —
- * it reproduces the pre-refactor hosts bit for bit (pinned by the
- * 88-benchmark CSV identity protocol in CHANGES.md and the zoo-wide
- * checkpoint property test).
+ * A concrete host supplies only its core: the three `*Host` hooks.  The
+ * composition order is load-bearing — it reproduces the pre-refactor
+ * hosts bit for bit (pinned by the 88-benchmark CSV identity protocol in
+ * CHANGES.md and the zoo-wide checkpoint property test).
  */
 
 #ifndef IMLI_SRC_PREDICTORS_COMPOSITE_HOST_HH

@@ -17,17 +17,6 @@ GehlPredictor::GehlPredictor(const Config &config)
         voting.addComponent(local.get());
 }
 
-void
-GehlPredictor::prefetch(std::uint64_t pc) const
-{
-    // The 17-table GEHL bank is the predictor's whole footprint; hint
-    // its lines with the current folds (see GlobalGehlComponent).
-    ScContext ctx;
-    ctx.pc = pc;
-    ctx.imliCount = imliComps.counter().value();
-    voting.prefetchAll(ctx);
-}
-
 bool
 GehlPredictor::predictHost(std::uint64_t pc)
 {

@@ -51,8 +51,6 @@ class GehlPredictor : public CompositeHost
 
     explicit GehlPredictor(const Config &config);
 
-    void prefetch(std::uint64_t pc) const override;
-
     const Config &config() const { return cfg; }
 
   protected:

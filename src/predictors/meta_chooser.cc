@@ -234,13 +234,6 @@ MetaChooserPredictor::trackOtherInst(std::uint64_t pc, BranchType type,
         s->trackOtherInst(pc, type, taken, target);
 }
 
-void
-MetaChooserPredictor::prefetch(std::uint64_t pc) const
-{
-    for (const PredictorPtr &s : subs)
-        s->prefetch(pc);
-}
-
 bool
 MetaChooserPredictor::supportsSpeculation() const
 {

@@ -87,7 +87,6 @@ class MetaChooserPredictor : public ConditionalPredictor
     void update(std::uint64_t pc, bool taken, std::uint64_t target) override;
     void trackOtherInst(std::uint64_t pc, BranchType type, bool taken,
                         std::uint64_t target) override;
-    void prefetch(std::uint64_t pc) const override;
 
     bool supportsSpeculation() const override;
     void prepareSpeculation(unsigned max_inflight) override;

@@ -59,15 +59,6 @@ class MetricsScope;
 constexpr unsigned kMaxSpeculationDepth = 512;
 
 /**
- * Largest prefetch lookahead distance the simulator accepts, in branch
- * records.  The single source for the "sim.prefetch" spec-key range and
- * the SimOptions bound: past a few dozen records the current-fold index
- * approximation (see ConditionalPredictor::prefetch) has drifted too far
- * for the hint to land on the right lines anyway.
- */
-constexpr unsigned kMaxPrefetchLookahead = 64;
-
-/**
  * Snapshot of a predictor's *speculative history* state — the state the
  * paper argues must be recoverable after a misprediction (Section 2.3):
  * the global/path history head, the IMLI counter + PIPE vector (+ the
@@ -132,17 +123,7 @@ class ConditionalPredictor
         (void)target;
     }
 
-    /**
-     * Hint the table lines a FUTURE predict(@p pc) will touch into cache
-     * (__builtin_prefetch on the arena addresses).  The simulator calls
-     * this for records a small lookahead ahead of the one being
-     * simulated, so the dependent table reads overlap with the work in
-     * between.  Implementations compute indices from their CURRENT
-     * history state, which may differ from the state at the real lookup —
-     * that only wastes the fetch.  MUST be state-free: no table writes,
-     * no history changes, no pairing-state caching; prefetch on/off is
-     * bit-identical by construction (CI pins this).  Default: no hint.
-     */
+    /** Unused in the library; goes with e2e_bench's override of it. */
     virtual void prefetch(std::uint64_t pc) const { (void)pc; }
 
     // ---- Speculation contract (pipeline simulation) ---------------------

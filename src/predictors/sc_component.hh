@@ -71,18 +71,6 @@ class ScComponent
         (void)taken;
     }
 
-    /**
-     * Hint the table lines a vote(@p ctx) would touch into cache.  A
-     * scheduling hint only — implementations must not change any state,
-     * and a stale/approximate @p ctx merely wastes the fetch.  Default:
-     * none (components with tiny L1-resident tables need not bother).
-     */
-    virtual void
-    prefetch(const ScContext &ctx) const
-    {
-        (void)ctx;
-    }
-
     /** Add this component's tables to the budget ledger. */
     virtual void account(StorageAccount &acct) const = 0;
 
@@ -136,14 +124,6 @@ class VotingEngine
 
     /** Per-branch unconditional maintenance for every component. */
     void resolveAll(const ScContext &ctx, bool taken);
-
-    /** Prefetch hint fan-out: every component's table lines for @p ctx. */
-    void
-    prefetchAll(const ScContext &ctx) const
-    {
-        for (const ScComponent *c : comps)
-            c->prefetch(ctx);
-    }
 
     void account(StorageAccount &acct) const;
 

@@ -46,19 +46,6 @@ BiasComponent::update(const ScContext &ctx, bool taken)
 }
 
 void
-BiasComponent::prefetch(const ScContext &ctx) const
-{
-    // The index hashes the main prediction, unknown at prefetch time:
-    // hint both variants (two small fetches beat a dependent miss).
-    ScContext flipped = ctx;
-    flipped.mainPred = !ctx.mainPred;
-    for (unsigned t = 0; t < cfg.numTables; ++t) {
-        tables.prefetchEntry(t, index(t, ctx));
-        tables.prefetchEntry(t, index(t, flipped));
-    }
-}
-
-void
 BiasComponent::account(StorageAccount &acct) const
 {
     acct.add("bias",
@@ -127,15 +114,6 @@ GlobalGehlComponent::update(const ScContext &ctx, bool taken)
 {
     for (unsigned t = 0; t < cfg.numTables; ++t)
         tables.at(t, index(t, ctx)).update(taken);
-}
-
-void
-GlobalGehlComponent::prefetch(const ScContext &ctx) const
-{
-    // Indices computed from the current folds; history-indexed tables
-    // drift with lookahead distance, costing only the wasted fetch.
-    for (unsigned t = 0; t < cfg.numTables; ++t)
-        tables.prefetchEntry(t, index(t, ctx));
 }
 
 void

@@ -55,7 +55,6 @@ class BiasComponent : public ScComponent
 
     int vote(const ScContext &ctx) const override;
     void update(const ScContext &ctx, bool taken) override;
-    void prefetch(const ScContext &ctx) const override;
     void account(StorageAccount &acct) const override;
     std::string name() const override { return "bias"; }
 
@@ -95,7 +94,6 @@ class GlobalGehlComponent : public ScComponent
 
     int vote(const ScContext &ctx) const override;
     void update(const ScContext &ctx, bool taken) override;
-    void prefetch(const ScContext &ctx) const override;
     void account(StorageAccount &acct) const override;
     std::string name() const override { return cfg.label; }
 
@@ -160,8 +158,6 @@ class StatisticalCorrector
      * TAGE prediction).  Fire in train(), once per resolved branch.
      */
     void attachProbes(obs::MetricsScope &scope);
-
-    const VotingEngine &engine() const { return voting; }
 
     /** Chooser counter values for @p pc, exposed for tests. */
     int weakChooser(std::uint64_t pc) const;

@@ -114,17 +114,6 @@ TagePredictor::nextRandom()
     return lfsr;
 }
 
-void
-TagePredictor::prefetch(std::uint64_t pc) const
-{
-    // Current-fold indices: exact for the base table and near-exact for
-    // short-history tables at small lookahead; long-history indices may
-    // drift, costing only a wasted line fetch.
-    for (unsigned i = 0; i < cfg.numTables; ++i)
-        tables.prefetchEntry(i, tableIndex(i, pc));
-    base.prefetchEntry(pc);
-}
-
 TagePredictor::Prediction
 TagePredictor::predict(std::uint64_t pc)
 {

@@ -99,16 +99,6 @@ class TagePredictor
     Prediction predict(std::uint64_t pc);
 
     /**
-     * Hint the table lines a future predict(@p pc) will touch into
-     * cache.  Indices are computed with the CURRENT folded histories, so
-     * for history-indexed tables the hint is approximate once more
-     * branches shift in before the real lookup — the base table and
-     * short-history tables stay exact.  Purely a scheduling hint: never
-     * changes any prediction (CI pins prefetch-on == prefetch-off).
-     */
-    void prefetch(std::uint64_t pc) const;
-
-    /**
      * Train on the resolved outcome.  @p final_pred is the prediction the
      * composed predictor actually emitted (allocation keys off the overall
      * misprediction, as in TAGE-SC-L).  Does NOT push global history; the

@@ -23,20 +23,6 @@ TageGscPredictor::TageGscPredictor(const Config &config)
         corrector.addComponent(local.get());
 }
 
-void
-TageGscPredictor::prefetch(std::uint64_t pc) const
-{
-    tage.prefetch(pc);
-    // Approximate corrector context: the PC is exact, the IMLI count is
-    // the current value (it may advance before the real lookup), and the
-    // main prediction is unknown (the bias component hints both
-    // variants itself).  State-free by contract.
-    ScContext ctx;
-    ctx.pc = pc;
-    ctx.imliCount = imliComps.counter().value();
-    corrector.engine().prefetchAll(ctx);
-}
-
 bool
 TageGscPredictor::predictHost(std::uint64_t pc)
 {

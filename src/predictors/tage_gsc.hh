@@ -56,8 +56,6 @@ class TageGscPredictor : public CompositeHost
 
     explicit TageGscPredictor(const Config &config);
 
-    void prefetch(std::uint64_t pc) const override;
-
     const Config &config() const { return cfg; }
 
   protected:

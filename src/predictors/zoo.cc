@@ -294,15 +294,6 @@ keyTable()
           "branches; 0 = immediate)"},
          +[](TageCfg &, long long) {},
          +[](GehlCfg &, long long) {}},
-        // Run-level like sim.delay: the software-prefetch lookahead the
-        // simulation drivers apply for this point (records; 0 = off).
-        // Bit-identity-neutral by the prefetch contract — sweeping it
-        // varies only wall-clock, which is the point of the dimension.
-        {{"sim.prefetch", 0, kMaxPrefetchLookahead, false, false,
-          "simulator prefetch lookahead for this config point (records; "
-          "0 = off)"},
-         +[](TageCfg &, long long) {},
-         +[](GehlCfg &, long long) {}},
         {{"tage.baselog", 4, 20, false, true,
           "log2 entries of the bimodal base table"},
          +[](TageCfg &c, long long v) { c.tage.baseLogEntries = unsigned(v); },
@@ -657,7 +648,7 @@ parseSpec(const std::string &spec)
             if (sp.host == "meta")
                 throw std::invalid_argument(
                     "meta specs cannot nest: " + sub);
-            if (hasSpecUpdateDelay(sp) || hasSpecPrefetch(sp))
+            if (hasSpecUpdateDelay(sp))
                 throw std::invalid_argument(
                     "run-level sim.* keys belong after meta(...)@, not "
                     "on the sub-spec \"" + sub + "\"");
@@ -1050,24 +1041,6 @@ specUpdateDelay(const ParsedSpec &parsed)
 {
     for (const SpecOverride &o : parsed.overrides)
         if (o.key == "sim.delay")
-            return static_cast<unsigned>(o.value);
-    return 0;
-}
-
-bool
-hasSpecPrefetch(const ParsedSpec &parsed)
-{
-    for (const SpecOverride &o : parsed.overrides)
-        if (o.key == "sim.prefetch")
-            return true;
-    return false;
-}
-
-unsigned
-specPrefetch(const ParsedSpec &parsed)
-{
-    for (const SpecOverride &o : parsed.overrides)
-        if (o.key == "sim.prefetch")
             return static_cast<unsigned>(o.value);
     return 0;
 }

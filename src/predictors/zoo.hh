@@ -45,11 +45,9 @@
  * canonicalizes to the name, not a number) plus the run-level sim.*
  * keys.  meta specs cannot nest, and run-level sim.* keys belong after
  * the closing parenthesis, not on a sub-spec.
- * Two keys are run-level rather than geometry: "sim.delay" selects the
+ * One key is run-level rather than geometry: "sim.delay" selects the
  * speculative pipeline engine's update delay for the point (see
- * specUpdateDelay()), making update timing a sweepable DSE dimension,
- * and "sim.prefetch" sets the simulator's prefetch lookahead for the
- * point (see specPrefetch()) — a throughput-only dimension.
+ * specUpdateDelay()), making update timing a sweepable DSE dimension.
  * Parsing is strict: unknown keys, values out of their documented range,
  * non-integer values, keys that do not apply to the chosen host, and
  * keys whose component the spec does not enable (e.g. sic.* without
@@ -216,23 +214,6 @@ bool hasSpecUpdateDelay(const ParsedSpec &parsed);
  * reports distinguish delay points like any other dimension.
  */
 unsigned specUpdateDelay(const ParsedSpec &parsed);
-
-/**
- * True when @p parsed carries a "sim.prefetch" override at all.  As with
- * sim.delay, presence matters: an explicit sim.prefetch=0 pins the
- * config to no prefetching even under a run-level lookahead default.
- */
-bool hasSpecPrefetch(const ParsedSpec &parsed);
-
-/**
- * The "sim.prefetch" override of @p parsed (0 when absent): the
- * simulator's software-prefetch lookahead distance for this config
- * point, in records.  Run-level like sim.delay — makePredictor() ignores
- * it, the drivers honour it per point, and it travels in the canonical
- * spec string so sweep journals distinguish prefetch points.  Results
- * are bit-identical at any value; only throughput moves.
- */
-unsigned specPrefetch(const ParsedSpec &parsed);
 
 /** Every override key of the design-space grammar, sorted by key. */
 std::vector<OverrideKeyInfo> knownOverrideKeys();

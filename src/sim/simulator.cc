@@ -52,26 +52,14 @@ namespace
 {
 
 /**
- * Replay one chunk through one predictor.  @p seen is the stream position
- * of the chunk's first record; shared between simulate and simulateMany
- * so the two paths cannot drift.
+ * Replay one chunk through one predictor on the immediate engine.  @p seen
+ * is the stream position of the chunk's first record.
  */
 void
 replayChunk(ConditionalPredictor &predictor, const BranchSpan &chunk,
             std::uint64_t seen, const SimOptions &options, SimResult &result)
 {
-    const std::size_t lookahead = options.prefetchLookahead;
-    for (std::size_t k = 0; k < chunk.count; ++k) {
-        const BranchRecord &rec = chunk[k];
-        // Batched lookups: hint the table lines of a record a small
-        // window ahead, so its fetches overlap the predict/update work
-        // of the records in between.  A hint only — never a result
-        // change (see ConditionalPredictor::prefetch).
-        if (lookahead > 0 && k + lookahead < chunk.count) {
-            const BranchRecord &ahead = chunk[k + lookahead];
-            if (isConditional(ahead.type))
-                predictor.prefetch(ahead.pc);
-        }
+    for (const BranchRecord &rec : chunk) {
         const bool counted = seen >= options.warmupBranches;
         if (isConditional(rec.type)) {
             const bool pred = predictor.predict(rec.pc);
@@ -108,8 +96,6 @@ applySpecDelay(const ParsedSpec &parsed, SimOptions base)
         base.updateDelay = specUpdateDelay(parsed);
         base.pipeline = true;
     }
-    if (hasSpecPrefetch(parsed))
-        base.prefetchLookahead = specPrefetch(parsed);
     return base;
 }
 
@@ -117,31 +103,10 @@ SimResult
 simulate(ConditionalPredictor &predictor, BranchSource &source,
          const SimOptions &options)
 {
-    if (options.usePipeline()) {
-        PipelineSimulator pipeline(predictor, options);
-        for (BranchSpan chunk = source.nextChunk(); !chunk.empty();
-             chunk = source.nextChunk()) {
-            for (const BranchRecord &rec : chunk)
-                pipeline.onRecord(rec);
-        }
-        pipeline.drain();
-        SimResult result = pipeline.result();
-        result.traceName = source.name();
-        result.predictorName = predictor.name();
-        return result;
-    }
-
-    SimResult result;
-    result.traceName = source.name();
-    result.predictorName = predictor.name();
-
-    std::uint64_t seen = 0;
-    for (BranchSpan chunk = source.nextChunk(); !chunk.empty();
-         chunk = source.nextChunk()) {
-        replayChunk(predictor, chunk, seen, options, result);
-        seen += chunk.count;
-    }
-    return result;
+    std::vector<SimResult> results =
+        simulateMany(std::vector<ConditionalPredictor *>{&predictor}, source,
+                     std::vector<SimOptions>{options});
+    return std::move(results.front());
 }
 
 SimResult

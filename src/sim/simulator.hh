@@ -63,20 +63,6 @@ struct SimOptions
      */
     bool pipeline = false;
 
-    /**
-     * Software-prefetch lookahead distance in records (0 = off): while
-     * simulating record k of a chunk, hint the predictor's table lines
-     * for record k + prefetchLookahead (ConditionalPredictor::prefetch),
-     * overlapping the fetches with the predict/update work in between.
-     * Purely a scheduling hint — results are bit-identical at any value
-     * (CI pins 0 vs on).  Applies to the immediate engine; the pipeline
-     * engine's commit sandwich re-reads under restored history, where a
-     * lookahead hint has no stable target.  Bounded by
-     * kMaxPrefetchLookahead; settable per config via the "sim.prefetch"
-     * spec key.
-     */
-    unsigned prefetchLookahead = 0;
-
     // ---- Observation hooks (src/obs; all null by default) --------------
     // Each is a borrowed pointer owned by the caller; null means the
     // corresponding observation is off, and the simulators then execute
@@ -99,14 +85,12 @@ struct SimOptions
 struct ParsedSpec;
 
 /**
- * @p base with any run-level sim.* overrides of @p parsed applied.
- * "sim.delay": a spec carrying the key — an explicit sim.delay=0
- * included — is pinned to the pipeline engine at that depth, overriding
- * the run-level engine selection (the spec label next to the numbers
- * must stay truthful).  "sim.prefetch" pins the prefetch lookahead the
- * same way (an explicit 0 turns it off under a run-level default).
- * The single definition of those rules, shared by the suite runner and
- * the DSE sweep.
+ * @p base with the run-level "sim.delay" override of @p parsed applied:
+ * a spec carrying the key — an explicit sim.delay=0 included — is
+ * pinned to the pipeline engine at that depth, overriding the run-level
+ * engine selection (the spec label next to the numbers must stay
+ * truthful).  The single definition of that rule, shared by the suite
+ * runner and the DSE sweep.
  */
 SimOptions applySpecDelay(const ParsedSpec &parsed, SimOptions base);
 
@@ -139,7 +123,8 @@ struct SimResult
 
 /**
  * Run @p predictor over @p source, chunk by chunk, from the source's
- * current position to end of stream.  Peak memory is one chunk.
+ * current position to end of stream.  Peak memory is one chunk.  A
+ * one-predictor simulateMany: that is the only engine dispatch.
  */
 SimResult simulate(ConditionalPredictor &predictor, BranchSource &source,
                    const SimOptions &options = SimOptions());

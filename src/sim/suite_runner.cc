@@ -317,17 +317,4 @@ applyPipelineFlags(const CommandLine &cli, SimOptions &sim)
     }
 }
 
-void
-applyPrefetchFlag(const CommandLine &cli, SimOptions &sim)
-{
-    if (cli.has("prefetch")) {
-        const std::int64_t n = cli.getInt("prefetch");
-        if (n < 0 || n > static_cast<std::int64_t>(kMaxPrefetchLookahead))
-            throw std::runtime_error(
-                "--prefetch: need a value in [0, " +
-                std::to_string(kMaxPrefetchLookahead) + "]");
-        sim.prefetchLookahead = static_cast<unsigned>(n);
-    }
-}
-
 } // namespace imli

@@ -203,15 +203,6 @@ class CommandLine;
  */
 void applyPipelineFlags(const CommandLine &cli, SimOptions &sim);
 
-/**
- * Parse the run-level "--prefetch N" flag into @p sim (strict integer,
- * 0..kMaxPrefetchLookahead): the simulator's software-prefetch lookahead
- * for every config of the run.  Per-config values still win via the
- * "sim.prefetch" spec key (see applySpecDelay).  Results are
- * bit-identical at any value; only throughput moves.
- */
-void applyPrefetchFlag(const CommandLine &cli, SimOptions &sim);
-
 } // namespace imli
 
 #endif // IMLI_SRC_SIM_SUITE_RUNNER_HH

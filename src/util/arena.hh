@@ -19,11 +19,6 @@
  * Entries stay the caller's type (packed int8/int16 structs), so a
  * 64-byte line holds 8-21 entries and the sequential ageing sweeps walk
  * the arena at streaming bandwidth.
- *
- * The layout is also what makes software prefetch worthwhile: a lookahead
- * index computed from (table, index) maps to exactly one line address
- * with no dependent load, so ConditionalPredictor::prefetch() can issue
- * the line fetches before the dependent reads (see simulator.cc).
  */
 
 #ifndef IMLI_SRC_UTIL_ARENA_HH
@@ -37,7 +32,7 @@
 namespace imli
 {
 
-/** Cache line size assumed for alignment and prefetch hints. */
+/** Cache line size assumed for table alignment. */
 constexpr std::size_t kCacheLineBytes = 64;
 
 /**
@@ -149,19 +144,6 @@ class TableArena
     auto end() { return store.end(); }
     auto begin() const { return store.begin(); }
     auto end() const { return store.end(); }
-
-    /**
-     * Hint the line holding (table, index) into cache, read-shared, low
-     * temporal locality.  Correctness-neutral: purely a scheduling hint.
-     */
-    void
-    prefetchEntry(unsigned table, unsigned index) const
-    {
-        __builtin_prefetch(
-            store.data() +
-                ((static_cast<std::size_t>(table) << logEntriesVal) + index),
-            0 /* read */, 1 /* low temporal locality */);
-    }
 
   private:
     unsigned logEntriesVal = 0;

@@ -122,12 +122,14 @@ CommandLine::CommandLine(int argc, const char *const *argv)
 bool
 CommandLine::has(const std::string &name) const
 {
+    readNames.insert(name);
     return flags.count(name) != 0;
 }
 
 std::string
 CommandLine::getString(const std::string &name, const std::string &def) const
 {
+    readNames.insert(name);
     auto it = flags.find(name);
     return it == flags.end() ? def : it->second;
 }
@@ -135,6 +137,7 @@ CommandLine::getString(const std::string &name, const std::string &def) const
 std::vector<std::string>
 CommandLine::getList(const std::string &name) const
 {
+    readNames.insert(name);
     std::vector<std::string> values;
     for (const auto &occurrence : occurrences)
         if (occurrence.first == name)
@@ -145,6 +148,7 @@ CommandLine::getList(const std::string &name) const
 std::int64_t
 CommandLine::getInt(const std::string &name, std::int64_t def) const
 {
+    readNames.insert(name);
     auto it = flags.find(name);
     if (it == flags.end())
         return def;
@@ -165,6 +169,7 @@ CommandLine::getInt(const std::string &name, std::int64_t def) const
 double
 CommandLine::getDouble(const std::string &name, double def) const
 {
+    readNames.insert(name);
     auto it = flags.find(name);
     if (it == flags.end())
         return def;
@@ -214,6 +219,7 @@ CommandLine::rejectValuedBool(const std::string &name) const
 bool
 CommandLine::getBool(const std::string &name, bool def) const
 {
+    readNames.insert(name);
     auto it = flags.find(name);
     if (it == flags.end())
         return def;
@@ -226,10 +232,19 @@ CommandLine::getBool(const std::string &name, bool def) const
 unsigned
 CommandLine::getJobs(unsigned def, const std::string &name) const
 {
+    readNames.insert(name);
     auto it = flags.find(name);
     if (it == flags.end())
         return def;
     return ThreadPool::parseJobs(it->second, def);
+}
+
+void
+CommandLine::rejectUnreadFlags() const
+{
+    for (const auto &flag : flags)
+        if (readNames.count(flag.first) == 0)
+            throw std::runtime_error("unknown flag --" + flag.first);
 }
 
 } // namespace imli

@@ -22,6 +22,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -115,6 +116,14 @@ class CommandLine
      */
     unsigned getJobs(unsigned def = 1, const std::string &name = "jobs") const;
 
+    /**
+     * Throw std::runtime_error "unknown flag --NAME" for the first flag
+     * (by name) that no accessor above has read, so a typo or a removed
+     * option fails loudly instead of running the default experiment.
+     * Call once, after the last flag read.  Positionals are never checked.
+     */
+    void rejectUnreadFlags() const;
+
     const std::vector<std::string> &positionals() const { return positional; }
 
     const std::string &programName() const { return program; }
@@ -125,6 +134,9 @@ class CommandLine
     /** Every flag occurrence in order, for repeatable flags (getList). */
     std::vector<std::pair<std::string, std::string>> occurrences;
     std::vector<std::string> positional;
+    /** Names passed to any accessor, for rejectUnreadFlags (not
+     *  thread-safe: read flags from one thread). */
+    mutable std::set<std::string> readNames;
 };
 
 } // namespace imli

@@ -427,6 +427,17 @@ TEST(Fingerprint, GeneratedIsAFunctionOfSpecAndBudget)
               TraceCorpus::fingerprint(ws03, 20000));
 }
 
+TEST(Fingerprint, GeneratedValuesArePinned)
+{
+    // Fingerprints name persisted .char sidecars and key sweep journals,
+    // so how the prefix is read (chunk size, source type) must never
+    // move them.
+    EXPECT_EQ(TraceCorpus::fingerprint(findBenchmark("MM-4"), 20000),
+              0xeccc62c53f8a698aull);
+    EXPECT_EQ(TraceCorpus::fingerprint(findBenchmark("WS03"), 200000),
+              0xd5bf3097bb1687d4ull);
+}
+
 TEST(Fingerprint, RecordedTracksFileBytes)
 {
     const std::string path = tempPath("fp", ".cbp");

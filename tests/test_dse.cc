@@ -74,6 +74,15 @@ struct RoundTrip
     const char *canonical;
 };
 
+// Print the case as its input spec.  Without this gtest prints the two
+// pointers' bytes, and the CTest name (gtest_discover_tests uses the
+// printed value) would change with every build and every ASLR base.
+void
+PrintTo(const RoundTrip &rt, std::ostream *os)
+{
+    *os << ::testing::PrintToString(std::string(rt.input));
+}
+
 class SpecRoundTrip : public ::testing::TestWithParam<RoundTrip>
 {
 };

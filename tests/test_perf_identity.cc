@@ -1,30 +1,25 @@
 /**
  * @file
  * Refactor-neutrality pins for the performance work on the hot loop:
- * the arena table layout, branchless counters, branch-light selection
- * and the batched/prefetched lookup paths must never move a simulated
- * number.  The anchor is a set of misprediction counts recorded from
- * the pre-refactor binary over generated and recorded benchmarks; on
- * top of that, prefetch on/off state-digest equality across the zoo,
- * pipeline-engine identity across jobs at several delays, and the
- * sim.prefetch spec-key surface (mirroring sim.delay's tests).
+ * the arena table layout, branchless counters and branch-light
+ * selection must never move a simulated number.  The anchor is a set of
+ * misprediction counts recorded from the pre-refactor binary over
+ * generated and recorded benchmarks; on top of that, pipeline-engine
+ * identity across jobs at several delays, and the removed sim.prefetch
+ * spec key staying rejected.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
-#include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "src/dse/sweep.hh"
 #include "src/predictors/zoo.hh"
 #include "src/sim/simulator.hh"
 #include "src/sim/suite_runner.hh"
-#include "src/util/rng.hh"
 #include "src/workloads/benchmark_spec.hh"
-#include "src/workloads/generator_source.hh"
 #include "src/workloads/suite.hh"
 
 using namespace imli;
@@ -39,12 +34,6 @@ pipelineOptions(unsigned delay)
     opts.updateDelay = delay;
     opts.pipeline = true;
     return opts;
-}
-
-std::string
-tmpPath(const std::string &name)
-{
-    return testing::TempDir() + name;
 }
 
 } // anonymous namespace
@@ -103,83 +92,6 @@ TEST(PerfIdentity, PinnedSuiteCountsMatchPreRefactorRecording)
 }
 
 // ---------------------------------------------------------------------------
-// Prefetch is state-free: results and digests across the zoo
-// ---------------------------------------------------------------------------
-
-TEST(PerfIdentity, PrefetchLookaheadNeverChangesResultsOrState)
-{
-    // Every zoo member, simulated with lookahead 0 / 16 / 64 over the
-    // same stream: identical grading and identical stateDigest().  The
-    // digest covers tables, histories and side-predictor state, so a
-    // prefetch implementation that so much as touches an ageing counter
-    // fails here.
-    for (const std::string &spec : knownSpecs()) {
-        SimOptions plain;
-        std::uint64_t digest0 = 0;
-        std::uint64_t miss0 = 0;
-        for (unsigned lookahead : {0u, 16u, 64u}) {
-            PredictorPtr pred = makePredictor(spec);
-            GeneratorBranchSource source(findBenchmark("MM-1"), 15000);
-            SimOptions opts = plain;
-            opts.prefetchLookahead = lookahead;
-            const SimResult r = simulate(*pred, source, opts);
-            if (lookahead == 0) {
-                digest0 = pred->stateDigest();
-                miss0 = r.mispredictions;
-            } else {
-                EXPECT_EQ(pred->stateDigest(), digest0)
-                    << spec << " lookahead " << lookahead;
-                EXPECT_EQ(r.mispredictions, miss0)
-                    << spec << " lookahead " << lookahead;
-            }
-        }
-    }
-}
-
-TEST(PerfIdentity, PrefetchIsStateFreeAroundSpeculation)
-{
-    // Direct contract check on the speculation-capable hosts: two
-    // instances driven through identical predict / checkpoint /
-    // speculate / restore / update sandwiches, one with prefetch()
-    // calls injected at every step (including between checkpoint and
-    // restore), must end bit-identical.
-    for (const std::string &spec : {"tage-gsc+i+l", "gehl+i"}) {
-        PredictorPtr a = makePredictor(spec);
-        PredictorPtr b = makePredictor(spec);
-        ASSERT_TRUE(a->supportsSpeculation()) << spec;
-        a->prepareSpeculation(4);
-        b->prepareSpeculation(4);
-
-        Xoroshiro128 rng(12345);
-        for (int step = 0; step < 4000; ++step) {
-            const std::uint64_t pc = 0x400000 + (rng.next() % 97) * 8;
-            const std::uint64_t target =
-                pc + ((rng.next() % 3 == 0) ? -64 : 64);
-            const bool taken = (rng.next() & 3) != 0;
-            const std::uint64_t ahead = 0x400000 + (rng.next() % 97) * 8;
-
-            b->prefetch(ahead);
-            const bool predA = a->predict(pc);
-            const bool predB = b->predict(pc);
-            EXPECT_EQ(predA, predB) << spec << " step " << step;
-            const SpecCheckpoint cpA = a->checkpoint();
-            const SpecCheckpoint cpB = b->checkpoint();
-            a->speculate(pc, predA, target);
-            b->speculate(pc, predB, target);
-            b->prefetch(ahead);
-            a->restore(cpA);
-            b->restore(cpB);
-            (void)a->predict(pc);
-            (void)b->predict(pc);
-            a->update(pc, taken, target);
-            b->update(pc, taken, target);
-            b->prefetch(pc);
-        }
-        EXPECT_EQ(a->stateDigest(), b->stateDigest()) << spec;
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Pipeline-engine identity at several delays (batched commit sandwich)
 // ---------------------------------------------------------------------------
 
@@ -217,93 +129,22 @@ TEST(PerfIdentity, PipelineBitIdenticalAcrossJobsAtDelays0And8And63)
 }
 
 // ---------------------------------------------------------------------------
-// The sim.prefetch spec key (mirrors the sim.delay surface)
+// The removed sim.prefetch spec key
 // ---------------------------------------------------------------------------
 
-TEST(PerfIdentity, SimPrefetchSpecKeyEqualsRunLevelFlagAndPlainRun)
+TEST(PerfIdentity, SimPrefetchIsAnUnknownSpecKey)
 {
-    // "spec@sim.prefetch=N" == run-level lookahead N == no prefetch at
-    // all: the key must parse, travel in the canonical spec, and change
-    // nothing but throughput.
-    std::vector<BenchmarkSpec> benchmarks = {findBenchmark("MM-4")};
-    SuiteRunOptions plain;
-    plain.branchesPerTrace = 15000;
-    const SuiteResults none = runSuite(benchmarks, {"tage-gsc+i"}, plain);
-
-    const SuiteResults viaSpec =
-        runSuite(benchmarks, {"tage-gsc+i@sim.prefetch=16"}, plain);
-
-    SuiteRunOptions viaFlag = plain;
-    viaFlag.sim.prefetchLookahead = 16;
-    const SuiteResults flagged =
-        runSuite(benchmarks, {"tage-gsc+i"}, viaFlag);
-
-    EXPECT_EQ(none.cells[0].mispredictions,
-              viaSpec.cells[0].mispredictions);
-    EXPECT_EQ(none.cells[0].mispredictions,
-              flagged.cells[0].mispredictions);
-    EXPECT_EQ(none.cells[0].instructions, viaSpec.cells[0].instructions);
-
-    // The canonical spec carries the dimension, like sim.delay.
-    EXPECT_EQ(viaSpec.cells[0].config, "tage-gsc+i@sim.prefetch=16");
-    EXPECT_EQ(canonicalSpec("tage-gsc+i@sim.prefetch=16"),
-              "tage-gsc+i@sim.prefetch=16");
-    EXPECT_EQ(specPrefetch(parseSpec("tage-gsc+i@sim.prefetch=16")), 16u);
-    EXPECT_EQ(specPrefetch(parseSpec("tage-gsc+i")), 0u);
-    EXPECT_TRUE(hasSpecPrefetch(parseSpec("tage-gsc+i@sim.prefetch=0")));
-    EXPECT_FALSE(hasSpecPrefetch(parseSpec("tage-gsc+i")));
-
-    // Both run-level keys compose on one spec.
-    const ParsedSpec both =
-        parseSpec("tage-gsc+i@sim.delay=8,sim.prefetch=16");
-    EXPECT_EQ(specUpdateDelay(both), 8u);
-    EXPECT_EQ(specPrefetch(both), 16u);
-    EXPECT_EQ(canonicalSpec("tage-gsc+i@sim.prefetch=16,sim.delay=8"),
-              "tage-gsc+i@sim.delay=8,sim.prefetch=16");
-
-    // Strict bounds: kMaxPrefetchLookahead caps the key.
-    EXPECT_THROW(parseSpec("tage-gsc@sim.prefetch=65"),
-                 std::invalid_argument);
-    EXPECT_THROW(parseSpec("tage-gsc@sim.prefetch=-1"),
-                 std::invalid_argument);
-}
-
-TEST(PerfIdentity, JournalMetaIgnoresPrefetchSoJournalsResumeAcrossIt)
-{
-    // The journal metadata line fingerprints everything that changes
-    // simulated counters.  Prefetch changes none, so a journal recorded
-    // without prefetching must resume under a run-level lookahead (and
-    // vice versa) — like jobs and chunk size, it is a scheduling detail.
-    SweepOptions a;
-    a.journalPath = "unused";
-    SweepOptions b = a;
-    b.sim.prefetchLookahead = 16;
-    EXPECT_EQ(journalMeta({}, a), journalMeta({}, b));
-
-    // End to end: sweep with prefetch off, resume with prefetch on —
-    // zero new cells, same numbers.
-    const std::string path = tmpPath("perf_identity_sweep.csv");
-    std::remove(path.c_str());
-    SweepOptions first;
-    first.journalPath = path;
-    first.branchesPerTrace = 15000;
-    const std::vector<BenchmarkSpec> benchmarks = {findBenchmark("MM-4")};
-    const std::vector<std::string> points = {
-        "tage-gsc+sic@sic.logsize=8", "tage-gsc+sic@sic.logsize=9"};
-    const SweepResults fresh = runSweep(benchmarks, points, first);
-    EXPECT_EQ(fresh.simulatedCells, 2u);
-
-    SweepOptions resume = first;
-    resume.sim.prefetchLookahead = 16;
-    const SweepResults resumed = runSweep(benchmarks, points, resume);
-    EXPECT_EQ(resumed.simulatedCells, 0u);
-    for (const std::string &p : points)
-        EXPECT_EQ(resumed.at("MM-4", canonicalSpec(p)).mispredictions,
-                  fresh.at("MM-4", canonicalSpec(p)).mispredictions);
-    std::remove(path.c_str());
-
-    // A per-point sim.prefetch override is a distinct journal row — the
-    // canonical spec is the row key, so prefetch points never collide.
-    EXPECT_NE(canonicalSpec("tage-gsc+sic@sic.logsize=8"),
-              canonicalSpec("tage-gsc+sic@sic.logsize=8,sim.prefetch=8"));
+    // sim.delay is the only run-level key; a leftover sim.prefetch in a
+    // spec or sweep must fail loudly, on plain and meta hosts alike.
+    for (const char *spec : {"tage-gsc+i@sim.prefetch=8",
+                             "meta(tage-gsc,gshare)@sim.prefetch=8"}) {
+        try {
+            parseSpec(spec);
+            ADD_FAILURE() << spec << " parsed";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("sim.prefetch"),
+                      std::string::npos)
+                << spec << ": " << e.what();
+        }
+    }
 }

@@ -519,6 +519,46 @@ TEST(CommandLine, GetJobsRejectsGarbageAndClampsHuge)
     }
 }
 
+TEST(CommandLine, RejectUnreadFlagsPassesWhenEveryFlagWasRead)
+{
+    const char *argv[] = {"prog", "--jobs", "2", "--csv",
+                          "--metrics=m.json", "--dim", "a"};
+    CommandLine cli(7, argv);
+    EXPECT_EQ(cli.getJobs(1), 2u);
+    EXPECT_TRUE(cli.getBool("csv"));
+    EXPECT_TRUE(cli.has("metrics")); // presence alone counts as a read
+    EXPECT_EQ(cli.getList("dim").size(), 1u);
+    EXPECT_NO_THROW(cli.rejectUnreadFlags());
+}
+
+TEST(CommandLine, RejectUnreadFlagsNamesTheUnreadFlag)
+{
+    const char *argv[] = {"prog", "--jobs", "4", "--prefetch", "16"};
+    CommandLine cli(5, argv);
+    EXPECT_EQ(cli.getJobs(1), 4u);
+    try {
+        cli.rejectUnreadFlags();
+        FAIL() << "an unread --prefetch must throw";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "unknown flag --prefetch");
+    }
+
+    // A typo of a real flag is just as unread.
+    const char *typo[] = {"prog", "--jobz", "4"};
+    CommandLine typoCli(3, typo);
+    EXPECT_EQ(typoCli.getJobs(1), 1u);
+    EXPECT_THROW(typoCli.rejectUnreadFlags(), std::runtime_error);
+}
+
+TEST(CommandLine, RejectUnreadFlagsIgnoresPositionalsAfterDoubleDash)
+{
+    const char *argv[] = {"prog", "--csv", "--", "--prefetch", "16"};
+    CommandLine cli(5, argv);
+    EXPECT_TRUE(cli.getBool("csv"));
+    ASSERT_EQ(cli.positionals().size(), 2u);
+    EXPECT_NO_THROW(cli.rejectUnreadFlags());
+}
+
 // ---------------------------------------------------------------------------
 // StorageAccount
 // ---------------------------------------------------------------------------

@@ -10,6 +10,10 @@ accidents (a debug-flag leak, an O(n^2) slip in the hot loop), not
 machine-to-machine noise.  Update bench/perf_floors.json when a change
 legitimately moves a row; the file documents how its values were picked.
 
+A report recorded with ``--benchmark_repetitions N`` (with or without
+``--benchmark_report_aggregates_only=true``) is graded on each row's
+``median`` aggregate; a single-run report on its iteration row.
+
 Usage: check_bench_floor.py REPORT.json FLOORS.json
 Exit status: 0 ok, 1 regression or missing row, 2 usage/parse error.
 """
@@ -47,11 +51,16 @@ def main(argv):
         return 1
 
     tolerance = float(floors.get("tolerance", 0.7))
-    rows = {
-        b["name"]: b
-        for b in report.get("benchmarks", [])
-        if b.get("run_type") != "aggregate"
-    }
+    benchmarks = report.get("benchmarks", [])
+    rows = {b["name"]: b for b in benchmarks if b.get("run_type") != "aggregate"}
+    # A repeated run's median aggregate wins over its iteration rows.
+    rows.update(
+        (b["run_name"], b)
+        for b in benchmarks
+        if b.get("run_type") == "aggregate"
+        and b.get("aggregate_name") == "median"
+        and "run_name" in b
+    )
 
     failed = False
     for name, floor in sorted(floors["floors_items_per_second"].items()):

@@ -8,7 +8,8 @@ report/floor files in a temp directory:
   2. a row more than 30% below its floor trips            -> exit 1
   3. a debug-build report is refused, whatever its rows   -> exit 1
 
-plus the usage error path (wrong argc -> exit 2).  The checker is pure
+plus aggregates-only reports (graded on the median aggregate, passing
+and tripping) and the usage error path (wrong argc -> exit 2).  The checker is pure
 stdlib and file-driven, so the test needs no benchmark binary -- it can
 run in any build type, including the sanitizer jobs.
 """
@@ -42,6 +43,27 @@ def make_report(directory, name, items_per_second, build_type="release"):
                 }
             ],
         },
+    )
+    return path
+
+
+def make_aggregate_report(directory, name, median, mean):
+    """An aggregates-only report, as written by --benchmark_repetitions N
+    --benchmark_report_aggregates_only=true: no iteration rows at all."""
+    path = os.path.join(directory, name)
+    rows = [
+        {
+            "name": f"BM_Probe_{aggregate}",
+            "run_name": "BM_Probe",
+            "run_type": "aggregate",
+            "aggregate_name": aggregate,
+            "items_per_second": value,
+        }
+        for aggregate, value in (("mean", mean), ("median", median),
+                                 ("stddev", 1e3))
+    ]
+    write_json(
+        path, {"context": {"imli_build_type": "release"}, "benchmarks": rows}
     )
     return path
 
@@ -100,6 +122,19 @@ def main():
         check(
             "missing-row",
             run(os.path.join(tmp, "empty.json"), floors),
+            1,
+        )
+        # Aggregates-only reports grade the median, not the mean.
+        check(
+            "aggregates-median-pass",
+            run(make_aggregate_report(tmp, "agg_pass.json", 1e6, 0.5e6),
+                floors),
+            0,
+        )
+        check(
+            "aggregates-median-trips",
+            run(make_aggregate_report(tmp, "agg_slow.json", 0.69e6, 2e6),
+                floors),
             1,
         )
         # 3. Debug reports are refused even when every row is fast.
