@@ -113,9 +113,10 @@ BENCHMARK(BM_TageArenaLookup)->Unit(benchmark::kMillisecond);
 static void
 BM_PipelineCommit(benchmark::State &state)
 {
-    // Pipeline-engine throughput at update delay Arg: the commit
-    // sandwich's two incremental restores dominate as the delay deepens,
-    // and the batched-commit drain keeps end-of-stream cost linear.
+    // Pipeline-engine throughput at update delay Arg.  Each commit's
+    // checkpoint and restores are fold-snapshot copies, so a correct
+    // commit costs the same at any depth; what grows with the delay is
+    // the replay of the squashed window after each misprediction.
     const Trace &trace = sharedTrace();
     SimOptions opt;
     opt.pipeline = true;

@@ -77,39 +77,46 @@ using namespace imli;
 namespace
 {
 
+void
+printUsage(std::ostream &os)
+{
+    os << "usage: explorer describe SPEC [SPEC...] | --keys\n"
+       << "       explorer sweep --journal FILE [--base SPEC]"
+          " [--dim key=v1,v2]... [--sample N --seed S]\n"
+       << "                      [--points SPECS] [--benchmarks"
+          " GLOBS] [--suite S] [--recorded DIR]\n"
+       << "                      [--class NAME] [--char-cache DIR]"
+          " [--branches N] [--jobs N]\n"
+       << "                      [--shards N] [--json FILE]"
+          " [--metrics FILE]\n"
+       << "                      [--phase-interval N]"
+          " [--timing FILE]\n"
+       << "       explorer plan  --journal FILE --shards N"
+          " [sweep flags]\n"
+       << "       explorer shard --journal FILE --shards N"
+          " --shard I [sweep flags]\n"
+       << "       explorer merge --journal FILE --shards N"
+          " [sweep flags]\n"
+       << "       explorer pareto --journal FILE [--suite S]"
+          " [--csv | --json]\n";
+}
+
 int
 usage()
 {
-    std::cerr << "usage: explorer describe SPEC [SPEC...] | --keys\n"
-              << "       explorer sweep --journal FILE [--base SPEC]"
-                 " [--dim key=v1,v2]... [--sample N --seed S]\n"
-              << "                      [--points SPECS] [--benchmarks"
-                 " GLOBS] [--suite S] [--recorded DIR]\n"
-              << "                      [--class NAME] [--char-cache DIR]"
-                 " [--branches N] [--jobs N]\n"
-              << "                      [--shards N] [--json FILE]"
-                 " [--metrics FILE]\n"
-              << "                      [--phase-interval N]"
-                 " [--timing FILE]\n"
-              << "       explorer plan  --journal FILE --shards N"
-                 " [sweep flags]\n"
-              << "       explorer shard --journal FILE --shards N"
-                 " --shard I [sweep flags]\n"
-              << "       explorer merge --journal FILE --shards N"
-                 " [sweep flags]\n"
-              << "       explorer pareto --journal FILE [--suite S]"
-                 " [--csv | --json]\n";
+    printUsage(std::cerr);
     return 1;
 }
 
 /**
- * The benchmark pool shared by sweep/plan/shard/merge, via the corpus
- * layer: full generated suite + optional --recorded, filtered by
+ * The benchmark-pool query shared by sweep/plan/shard/merge, via the
+ * corpus layer: full generated suite + optional --recorded, filtered by
  * --suite / --benchmarks globs / --class (characterization-derived
- * predictability classes; see src/corpus/characterize.hh).
+ * predictability classes; see src/corpus/characterize.hh).  Only reads
+ * flags; selectSuiteBenchmarks() runs it once every flag is checked.
  */
-std::vector<BenchmarkSpec>
-selectPool(const CommandLine &cli)
+CorpusQuery
+poolQuery(const CommandLine &cli)
 {
     CorpusQuery query;
     query.recordedDir = cli.getString("recorded", "");
@@ -120,7 +127,7 @@ selectPool(const CommandLine &cli)
     if (cli.has("branches"))
         query.targetBranches =
             parseBranchCount(cli.getString("branches"), "--branches");
-    return selectSuiteBenchmarks(query);
+    return query;
 }
 
 int
@@ -133,6 +140,7 @@ cmdDescribe(const CommandLine &cli)
                                    cli.positionals().end());
     if (!cli.getString("keys").empty())
         specs.insert(specs.begin(), cli.getString("keys"));
+    cli.rejectUnreadFlags();
 
     if (cli.has("keys")) {
         TableWriter table("Override keys (spec@key=value,...)");
@@ -260,7 +268,7 @@ cmdSweep(const CommandLine &cli)
         return usage();
     }
     const std::vector<std::string> points = expandPoints(cli);
-    const std::vector<BenchmarkSpec> benchmarks = selectPool(cli);
+    const CorpusQuery query = poolQuery(cli);
     SweepOptions options = makeSweepOptions(cli);
 
     // The observation sidecars attach to ONE process's run: sharded
@@ -295,6 +303,11 @@ cmdSweep(const CommandLine &cli)
     }
     if (cli.has("timing"))
         options.timingSidecarPath = cli.getString("timing");
+    // Every flag has been read: a leftover one is a typo, so fail before
+    // selecting benchmarks, opening any output or simulating anything.
+    cli.rejectUnreadFlags();
+    const std::vector<BenchmarkSpec> benchmarks =
+        selectSuiteBenchmarks(query);
 
     // Open the --json output before simulating: an unwritable path must
     // fail now, not after minutes of sweep (same rationale as the bare
@@ -392,7 +405,8 @@ cmdSweep(const CommandLine &cli)
 }
 
 /** Shared front half of plan/shard/merge: validated grid + pool +
- *  options under one required --journal / --shards pair. */
+ *  options under one required --journal / --shards pair.  Reads the
+ *  last shared flag, so callers read their own flags first. */
 struct ShardInputs
 {
     std::vector<std::string> points;
@@ -414,9 +428,11 @@ gatherShardInputs(const CommandLine &cli, const char *what,
         return false;
     }
     inputs.points = expandPoints(cli);
-    inputs.benchmarks = selectPool(cli);
+    const CorpusQuery query = poolQuery(cli);
     inputs.options = makeSweepOptions(cli);
     inputs.shardCount = parseShardCount(cli);
+    cli.rejectUnreadFlags();
+    inputs.benchmarks = selectSuiteBenchmarks(query);
     return true;
 }
 
@@ -448,14 +464,14 @@ cmdPlan(const CommandLine &cli)
 int
 cmdShard(const CommandLine &cli)
 {
-    ShardInputs in;
-    if (!gatherShardInputs(cli, "shard", in))
-        return usage();
     if (!cli.has("shard")) {
         std::cerr << "error: shard needs --shard I (which shard to run)\n";
         return usage();
     }
     const std::int64_t index = cli.getInt("shard");
+    ShardInputs in;
+    if (!gatherShardInputs(cli, "shard", in))
+        return usage();
     if (index < 0 || static_cast<std::size_t>(index) >= in.shardCount)
         throw std::runtime_error(
             "--shard: index " + std::to_string(index) +
@@ -532,10 +548,11 @@ cmdPareto(const CommandLine &cli)
         std::cerr << "error: pick one of --csv or --json\n";
         return 1;
     }
+    const std::string suite = cli.getString("suite", "");
+    cli.rejectUnreadFlags();
     const std::vector<SweepCell> cells =
         loadJournal(cli.getString("journal"));
-    std::vector<ParetoEntry> entries =
-        aggregateCells(cells, cli.getString("suite", ""));
+    std::vector<ParetoEntry> entries = aggregateCells(cells, suite);
     if (entries.empty()) {
         std::cerr << "error: journal has no cells"
                   << (cli.has("suite") ? " for that suite" : "") << '\n';
@@ -606,6 +623,10 @@ int
 main(int argc, char **argv)
 try {
     CommandLine cli(argc, argv);
+    if (cli.has("help")) {
+        printUsage(std::cout);
+        return 0;
+    }
     if (cli.positionals().empty())
         return usage();
     const std::string &command = cli.positionals()[0];

@@ -34,10 +34,26 @@
 #include "src/util/cli.hh"
 #include "src/util/table_writer.hh"
 
+namespace
+{
+
+const char kUsage[] =
+    "usage: predictor_shootout [--branches N] [--benchmarks NAMES]"
+    " [--recorded DIR]\n"
+    "                          [--update-delay N | --pipeline]"
+    " [--metrics FILE]\n"
+    "                          [--phase-interval N]\n";
+
+} // anonymous namespace
+
 int
 main(int argc, char **argv)
 try {
     imli::CommandLine cli(argc, argv);
+    if (cli.has("help")) {
+        std::cout << kUsage;
+        return 0;
+    }
     const std::size_t branches = cli.getCount("branches", 150000);
     const std::vector<std::string> benchmarks = imli::splitCommaList(cli.getString(
         "benchmarks", "SPEC2K6-04,SPEC2K6-12,MM-4,CLIENT02,MM07,WS04"));

@@ -64,10 +64,30 @@
 
 using namespace imli;
 
+namespace
+{
+
+const char kUsage[] =
+    "usage: suite_report [--configs SPECS] [--suite CBP4|CBP3|REC]\n"
+    "                    [--benchmarks GLOBS] [--branches N]"
+    " [--csv | --json]\n"
+    "                    [--recorded DIR] [--class NAME]"
+    " [--char-cache DIR] [--jobs N]\n"
+    "                    [--update-delay N | --pipeline]"
+    " [--metrics FILE]\n"
+    "                    [--phase-interval N] [--trace-events FILE]"
+    " [--progress]\n";
+
+} // anonymous namespace
+
 int
 main(int argc, char **argv)
 try {
     CommandLine cli(argc, argv);
+    if (cli.has("help")) {
+        std::cout << kUsage;
+        return 0;
+    }
     // --csv/--json are output-mode booleans; a path value ("--json
     // out.json") would be silently swallowed by getBool, so fail loudly.
     cli.rejectValuedBool("csv");

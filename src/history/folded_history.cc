@@ -25,26 +25,6 @@ FoldedHistory::update(bool incoming, bool outgoing)
 }
 
 void
-FoldedHistory::rewind(bool incoming, bool outgoing)
-{
-    // update() computed, from the pre-state f (width bits):
-    //   t1 = (f << 1) | incoming          (width+1 bits)
-    //   t2 = t1 ^ (outgoing << outPoint)
-    //   f' = (t2 ^ (t2 >> width)) & mask
-    // t2 >> width is t1's top bit, i.e. f's top bit T.  Inverting:
-    // bit 0 of f' is bit 0 of t2 xor T, and bit 0 of t2 is known from
-    // incoming/outgoing, so T falls out; the rest unshifts.
-    const std::uint32_t in = incoming ? 1u : 0u;
-    const std::uint32_t out = outgoing ? 1u : 0u;
-    const std::uint32_t top =
-        (folded ^ in ^ (outPoint == 0 ? out : 0u)) & 1u;
-    const std::uint32_t t2low = folded ^ top;
-    const std::uint32_t t1low = t2low ^ (out << outPoint);
-    folded = (top << (width - 1)) | (t1low >> 1);
-    folded &= (1u << width) - 1;
-}
-
-void
 FoldedHistory::recompute(const GlobalHistory &hist)
 {
     // Reference fold: process bits oldest-to-newest through update() with

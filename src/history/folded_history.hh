@@ -6,8 +6,8 @@
  * table's index width.  Recomputing the XOR-fold on every prediction is
  * O(length); hardware instead maintains the folded value incrementally: on
  * each new history bit, rotate the fold and XOR in the incoming bit and the
- * outgoing (aged-out) bit.  This class mirrors that structure, including
- * rollback support driven by the underlying GlobalHistory buffer.
+ * outgoing (aged-out) bit.  This class mirrors that structure; rollback
+ * is HistoryManager's job (it snapshots fold values at each checkpoint).
  */
 
 #ifndef IMLI_SRC_HISTORY_FOLDED_HISTORY_HH
@@ -41,21 +41,12 @@ class FoldedHistory
      */
     void update(bool incoming, bool outgoing);
 
-    /**
-     * Exact inverse of update(): undo the most recent update, given the
-     * same @p incoming / @p outgoing bits that were fed to it.  Lets a
-     * restore walk the fold back in O(distance) instead of recomputing in
-     * O(origLength) — the cost that makes per-branch checkpointing viable
-     * in the pipeline simulator.
-     */
-    void rewind(bool incoming, bool outgoing);
-
     /** Current folded value. */
     std::uint32_t value() const { return folded; }
 
     /**
-     * Recompute from scratch against @p hist (used for rollback and in
-     * consistency assertions; O(origLength)).
+     * Recompute from scratch against @p hist (the reference the
+     * incremental value is checked against; O(origLength)).
      */
     void recompute(const GlobalHistory &hist);
 
@@ -63,6 +54,8 @@ class FoldedHistory
     unsigned foldedWidth() const { return width; }
 
   private:
+    friend class HistoryManager; //!< restores snapshotted values
+
     std::uint32_t folded = 0;
     unsigned length = 0;       //!< compressed history length
     unsigned width = 1;        //!< output width

@@ -31,12 +31,6 @@ GlobalHistory::bit(unsigned age) const
     return buffer[(head - 1 - age) & mask] != 0;
 }
 
-bool
-GlobalHistory::bitAt(std::uint64_t pos) const
-{
-    return buffer[pos & mask] != 0;
-}
-
 std::uint64_t
 GlobalHistory::recent(unsigned length) const
 {

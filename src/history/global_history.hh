@@ -42,15 +42,6 @@ class GlobalHistory
     bool bit(unsigned age) const;
 
     /**
-     * Raw buffer bit at absolute push position @p pos (the @p pos-th push
-     * since construction); positions before the trace start read false.
-     * Valid for any position still resident in the circular buffer —
-     * including positions at or past a rewound head, which is what lets
-     * HistoryManager redo folds incrementally on a forward restore.
-     */
-    bool bitAt(std::uint64_t pos) const;
-
-    /**
      * Pack the @p length most recent bits into a word (bit 0 = most
      * recent).  @p length must be <= 64; longer histories are consumed
      * through FoldedHistory instead.
@@ -82,11 +73,13 @@ class GlobalHistory
      * recovery path: bits pushed after the checkpoint become dead.  A
      * *forward* restore (to a checkpoint taken before the current head
      * was rewound) is also allowed — the pipeline simulator's commit
-     * sandwich rewinds to a branch's fetch point, trains, and returns to
+     * sandwich restores a branch's fetch point, trains, and returns to
      * the fetch front; the buffer retains the in-between bits, so moving
-     * the pointer forward restores them.  The caller guarantees the bits
-     * between the two heads are still resident (|distance| bounded by the
-     * buffer capacity minus the longest fold length).
+     * the pointer forward restores them.  The caller guarantees
+     * |distance| stays within the buffer capacity, and that the bits the
+     * next push ages out after a backward restore (fold length positions
+     * behind the restored head) were not overwritten by the pushes that
+     * had moved past it (see host_spec::historyCapacity()).
      */
     void restore(const Checkpoint &cp);
 

@@ -110,6 +110,7 @@ CompositeHost::update(std::uint64_t pc, bool taken, std::uint64_t target)
 void
 CompositeHost::prepareSpeculation(unsigned max_inflight)
 {
+    histMgr.prepare(max_inflight);
     host_spec::prepare(local.get(), max_inflight);
 }
 

@@ -47,10 +47,11 @@ struct LoopFamily
 
 /**
  * History-buffer capacity for a host whose longest registered fold is
- * @p longest_history bits.  The incremental restore walk of
- * HistoryManager reads each push's outgoing bit (fold length positions
- * back), so the buffer must keep longest + deepest-restore-distance
- * bits resident — restores span at most the in-flight window
+ * @p longest_history bits.  Restores copy fold values from snapshots,
+ * but the next push after a backward restore still reads its outgoing
+ * bit (fold length positions behind the restored head) from the buffer,
+ * so the buffer must keep longest + deepest-restore-distance bits
+ * resident — restores span at most the in-flight window
  * (kMaxSpeculationDepth records) plus the commit sandwich's own push.
  * Sizing the buffer here makes the residency invariant hold by
  * construction for every legal geometry override (maxhist up to 4096),

@@ -48,9 +48,10 @@ class MetricsScope;
 
 /**
  * Deepest in-flight window the speculation contract supports, in
- * branches.  Bounded by checkpoint recoverability: a restore walks the
- * global-history buffer, so window + longest fold length must stay
- * resident — every predictor sizes its buffer for this depth (hosts via
+ * branches.  Bounded by checkpoint recoverability: after a restore the
+ * next push reads its aged-out bit from the global-history buffer, so
+ * window + longest fold length must stay resident — every predictor
+ * sizes its buffer for this depth (hosts via
  * host_spec::historyCapacity() from their configured maxhist; gshare's
  * 1024 covers its 64-bit recent() ceiling).  The single source for the
  * "sim.delay" key range, the --update-delay CLI check and the pipeline
@@ -139,7 +140,10 @@ class ConditionalPredictor
     // predicted outcome; update() remains the one architectural trainer
     // (tables + the history push with the resolved outcome), which is
     // what makes delay-0 pipeline simulation bit-identical to the
-    // immediate engine.
+    // immediate engine.  Recovery is a copy, as in hardware: checkpoint()
+    // snapshots the speculative state (composite hosts keep their fold
+    // values in a ring sized by prepareSpeculation()), and restore()
+    // copies it back, whatever the distance.
 
     /** True when the speculation contract below is implemented. */
     virtual bool supportsSpeculation() const { return false; }
@@ -147,7 +151,10 @@ class ConditionalPredictor
     /**
      * Size the speculative structures for up to @p max_inflight branches
      * between predict and commit (called once, before the first
-     * speculate()).  Default: nothing to size.
+     * checkpoint()): a checkpoint must stay restorable while up to
+     * @p max_inflight younger branches are fetched and the commit front
+     * is checkpointed.
+     * Default: nothing to size.
      */
     virtual void prepareSpeculation(unsigned max_inflight)
     {

@@ -69,15 +69,6 @@ PipelineSimulator::fetch(const BranchRecord &rec, std::uint64_t pos)
 void
 PipelineSimulator::commitUntil(std::size_t target)
 {
-    // One front checkpoint serves the whole burst: a correctly predicted
-    // commit leaves the history buffer bits untouched, so the next
-    // commit's backward restore lands exactly where the old per-commit
-    // restore(front); restore(cp) round trip did (see the file header
-    // for the teleport argument).  Taken lazily — an all-non-conditional
-    // burst never touches predictor state at all.
-    bool have_front = false;
-    SpecCheckpoint front;
-
     while (window.size() > target) {
         const Inflight entry = window.front();
         window.pop_front();
@@ -85,8 +76,7 @@ PipelineSimulator::commitUntil(std::size_t target)
 
         const bool counted = entry.pos >= opts.warmupBranches;
         if (!entry.conditional) {
-            // No predictor state moves (trackOtherInst ran at fetch), so
-            // the burst continues under the same hoisted front.
+            // No predictor state moves (trackOtherInst ran at fetch).
             if (counted) {
                 simResult.instructions += entry.rec.instsBefore + 1;
                 if (opts.phase != nullptr)
@@ -99,12 +89,8 @@ PipelineSimulator::commitUntil(std::size_t target)
             continue;
         }
 
-        if (!have_front) {
-            front = pred.checkpoint();
-            have_front = true;
-        }
-
         // Commit sandwich: train at the branch's fetch-time history view.
+        const SpecCheckpoint front = pred.checkpoint();
         pred.restore(entry.cp);
         (void)pred.predict(entry.rec.pc); // re-derive predict/update pairing
         pred.update(entry.rec.pc, entry.rec.taken, entry.rec.target);
@@ -131,9 +117,11 @@ PipelineSimulator::commitUntil(std::size_t target)
                     (entry.pred != entry.rec.taken ? "true" : "false"));
 
         if (entry.pred == entry.rec.taken) {
-            // Correct: stay at the commit point.  The burst's next
-            // backward restore (or the final forward restore below)
-            // teleports from here exactly.
+            // Correct: the resolved push rewrote the speculative bit with
+            // the same value, so the fetch front is still valid.
+            pred.restore(front);
+            if (opts.traceEvents != nullptr)
+                opts.traceEvents->emit("restore", "");
             continue;
         }
 
@@ -141,11 +129,7 @@ PipelineSimulator::commitUntil(std::size_t target)
         // the fetch point + push of the resolved outcome).  Everything
         // younger in the window was fetched in the wrong-path shadow:
         // squash it and re-fetch the same records — the trace is the
-        // correct path.  The hoisted front is now stale (its forward walk
-        // would replay the squashed speculative bits), so drop it; the
-        // replayed fetches rebuild the front, and the next conditional
-        // commit re-checkpoints.
-        have_front = false;
+        // correct path.
         ++pipeStats.squashes;
         pred.squashSpeculation();
         obsSquashDepth.record(window.size());
@@ -160,13 +144,6 @@ PipelineSimulator::commitUntil(std::size_t target)
             fetch(again.rec, again.pos);
             ++pipeStats.replays;
         }
-    }
-
-    // End of burst: return to the fetch front once, for the whole batch.
-    if (have_front) {
-        pred.restore(front);
-        if (opts.traceEvents != nullptr)
-            opts.traceEvents->emit("restore", "");
     }
 }
 

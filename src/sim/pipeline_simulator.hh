@@ -51,27 +51,13 @@
  * Memory model: the simulator owns one window of updateDelay + 1 record
  * entries (record + prediction + a few-word checkpoint each) per
  * predictor — O(delay), independent of trace length, on top of the
- * streaming engine's O(chunk) residency.  Commit cost is O(delay x
- * folds) for the two incremental restores of the sandwich (see
- * history/history_manager.cc), so a full-suite run scales linearly in
- * the configured depth.
- *
- * Commit batching: consecutive commits share one front checkpoint.  A
- * restore() is an exact teleport — the fold walk reads history-buffer
- * bits by absolute position, and every other checkpoint field (IMLI
- * counters, journal ticket horizons, the loop PC) is restored by value —
- * so after a correctly predicted commit the round trip back to the
- * front is redundant when the very next operation is another commit's
- * backward restore: restore(front); restore(next.cp) collapses to
- * restore(next.cp).  Correct commits leave the buffer bits untouched
- * (the resolved push rewrites the speculative bit with the same value),
- * which is exactly the precondition the fold walk needs.  The burst
- * returns to the hoisted front once, when the batch runs out; a
- * mispredict discards the now-stale front (squash-and-replay rebuilds
- * the front from the repaired history).  This turns the drain of a
- * depth-N window from O(N^2 x folds) into O(N x folds) and drops one
- * checkpoint + one forward restore from every multi-commit burst,
- * bit-identically.
+ * streaming engine's O(chunk) residency.  Composite hosts add a ring of
+ * fold-value snapshots sized for the same window (HistoryManager::
+ * prepare).  A correct commit costs O(folds), independent of the
+ * depth: the sandwich's checkpoint and both restores are snapshot
+ * copies (see history/history_manager.hh), as hardware recovers history
+ * by restoring a checkpoint, not by replaying it.  A misprediction adds
+ * the re-fetch of every squashed younger record.
  */
 
 #ifndef IMLI_SRC_SIM_PIPELINE_SIMULATOR_HH
@@ -141,11 +127,9 @@ class PipelineSimulator
     void fetch(const BranchRecord &rec, std::uint64_t pos);
 
     /**
-     * Commit oldest-first until at most @p target records are in flight,
-     * batching consecutive commits under one hoisted front checkpoint
-     * (see the file header).  Squash replays can refill the window
-     * mid-loop, but every iteration retires one record for good, so the
-     * loop terminates.
+     * Commit oldest-first until at most @p target records are in flight.
+     * Squash replays can refill the window mid-loop, but every iteration
+     * retires one record for good, so the loop terminates.
      */
     void commitUntil(std::size_t target);
 

@@ -56,6 +56,11 @@ GeneratorBranchSource::GeneratorBranchSource(BenchmarkSpec spec,
     assert(!this->spec.kernels.empty());
     instantiateKernels();
     exhausted = emitted >= targetBranches; // target 0: empty stream
+    // One allocation per source: growing the buffer by doubling leaves a
+    // trail of freed blocks that per-thread malloc arenas keep resident
+    // across suite runs.  Pages past the records written stay untouched;
+    // a chunk larger than the default still grows on demand.
+    buffer.reserve(std::min(chunkRecords, defaultChunkRecords));
 }
 
 GeneratorBranchSource::~GeneratorBranchSource()

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <tuple>
 
 #include "src/history/folded_history.hh"
@@ -171,35 +172,11 @@ TEST(HistoryManager, RestoreRecomputesFolds)
     EXPECT_EQ(fold->value(), value);
 }
 
-TEST(FoldedHistory, RewindInvertsUpdateExactly)
+TEST(HistoryManager, RestoreMatchesRecompute)
 {
-    // rewind(in, out) must return the fold to its pre-update value for
-    // every geometry, including width-1 and outPoint-0 corners — the
-    // pipeline simulator's incremental restores depend on exactness.
-    for (const auto &[length, width] :
-         {std::make_tuple(4u, 10u), std::make_tuple(10u, 10u),
-          std::make_tuple(7u, 1u), std::make_tuple(640u, 10u),
-          std::make_tuple(63u, 9u), std::make_tuple(16u, 8u)}) {
-        FoldedHistory fold(length, width);
-        Xoroshiro128 rng(length * 7 + width);
-        for (int i = 0; i < 1000; ++i) {
-            const bool in = rng.bernoulli(0.5);
-            const bool out = rng.bernoulli(0.5);
-            const std::uint32_t before = fold.value();
-            fold.update(in, out);
-            FoldedHistory redo = fold;
-            redo.rewind(in, out);
-            ASSERT_EQ(redo.value(), before)
-                << "L=" << length << " W=" << width << " step " << i;
-        }
-    }
-}
-
-TEST(HistoryManager, IncrementalRewindMatchesRecompute)
-{
-    // restore() now walks folds incrementally; it must land on exactly
-    // the recompute() values at the restored head, for short and long
-    // rewind distances alike.
+    // restore() copies the folds back from the checkpoint's snapshot; it
+    // must land on exactly the recompute() values at the restored head,
+    // for short and long rewind distances alike.
     HistoryManager mgr(4096);
     FoldedHistory *f1 = mgr.createFold(37, 9);
     FoldedHistory *f2 = mgr.createFold(301, 12);
@@ -254,6 +231,61 @@ TEST(HistoryManager, ForwardRestoreReturnsToTheFuture)
     mgr.restore(front);
     EXPECT_EQ(mgr.history().headPointer(), front.head);
     EXPECT_EQ(fold->value(), frontValue);
+}
+
+TEST(HistoryManager, PreparedRingKeepsTheDeepestCheckpoint)
+{
+    // After prepare(N), a checkpoint survives N + 1 younger saves (the
+    // in-flight window plus the commit front) and still restores to the
+    // recompute() values.  N = 62 makes the ring exactly N + 2 = 64
+    // slots, so one more save evicts it.
+    constexpr unsigned kInflight = 62;
+    HistoryManager mgr(4096);
+    FoldedHistory *f1 = mgr.createFold(37, 9);
+    FoldedHistory *f2 = mgr.createFold(640, 10);
+    mgr.prepare(kInflight);
+    Xoroshiro128 rng(67);
+    for (int i = 0; i < 900; ++i)
+        mgr.push(rng.bernoulli(0.5), 0x80 + 2 * (i & 0x3f));
+
+    const auto oldest = mgr.save();
+    FoldedHistory ref1(37, 9), ref2(640, 10);
+    ref1.recompute(mgr.history());
+    ref2.recompute(mgr.history());
+    for (unsigned i = 0; i < kInflight + 1; ++i) {
+        mgr.push(rng.bernoulli(0.5), 0x300 + 2 * i);
+        (void)mgr.save();
+    }
+    const auto front = mgr.save();
+    mgr.restore(oldest);
+    EXPECT_EQ(mgr.history().headPointer(), oldest.head);
+    EXPECT_EQ(f1->value(), ref1.value());
+    EXPECT_EQ(f2->value(), ref2.value());
+
+    mgr.restore(front);
+    mgr.push(true, 0x500);
+    (void)mgr.save();
+    EXPECT_THROW(mgr.restore(oldest), std::logic_error);
+}
+
+TEST(HistoryManager, RestoreOfAnEvictedCheckpointThrows)
+{
+    // prepare(2) sizes the ring to 4 slots; the save four pushes later
+    // reuses the slot, so the older checkpoint can no longer be restored.
+    HistoryManager mgr(2048);
+    (void)mgr.createFold(20, 7);
+    mgr.prepare(2);
+    const auto evicted = mgr.save();
+    for (int i = 0; i < 4; ++i) {
+        mgr.push(i % 2 == 0, 0x40);
+        (void)mgr.save();
+    }
+    EXPECT_THROW(mgr.restore(evicted), std::logic_error);
+
+    // A checkpoint no save() ever issued is rejected the same way.
+    GlobalHistory::Checkpoint forged;
+    forged.head = mgr.history().headPointer() + 1;
+    EXPECT_THROW(mgr.restore(forged), std::logic_error);
 }
 
 // ---------------------------------------------------------------------------

@@ -114,11 +114,12 @@ TEST(PipelineIdentity, Delay0MatchesImmediateWithWarmup)
 
 TEST(PipelineIdentity, Delay0MatchesImmediateAtExtremeHistoryGeometry)
 {
-    // Regression: with maxhist at the grammar ceiling (4096), the
-    // incremental restore walk needs fold-length + restore-distance
-    // bits resident; a fixed 4096-bit buffer silently served the
-    // rewind an already-overwritten slot and broke delay-0 identity.
-    // Hosts now size their buffer from the configured geometry.
+    // Regression: with maxhist at the grammar ceiling (4096), the push
+    // after a backward restore reads its aged-out bit fold-length bits
+    // behind the restored head, so fold-length + restore-distance bits
+    // must stay resident; a fixed 4096-bit buffer once served an
+    // already-overwritten slot and broke delay-0 identity.  Hosts now
+    // size their buffer from the configured geometry.
     for (const char *spec :
          {"tage-gsc@tage.maxhist=4096", "gehl@gsc.maxhist=4096",
           "tage-gsc+i+l@gsc.maxhist=2048,tage.maxhist=3600"}) {
@@ -437,6 +438,34 @@ TEST(PipelineSuite, PipelineSuiteBitIdenticalAcrossJobs)
     const SuiteResults b = runSuite(benchmarks, configs, parallel);
     ASSERT_EQ(a.cells.size(), b.cells.size());
     for (std::size_t i = 0; i < a.cells.size(); ++i) {
+        EXPECT_EQ(a.cells[i].mispredictions, b.cells[i].mispredictions);
+        EXPECT_EQ(a.cells[i].conditionals, b.cells[i].conditionals);
+        EXPECT_EQ(a.cells[i].instructions, b.cells[i].instructions);
+    }
+}
+
+TEST(PipelineSuite, MaxDepthRunsAndIsBitIdenticalAcrossJobs)
+{
+    // At the deepest supported window every checkpoint must survive the
+    // whole in-flight span in the hosts' fold-snapshot rings, including
+    // the meta chooser's per-sub checkpoints.
+    std::vector<BenchmarkSpec> benchmarks = {findBenchmark("MM-4"),
+                                             findBenchmark("WS03")};
+    SuiteRunOptions serial;
+    serial.branchesPerTrace = 6000;
+    serial.sim = pipelineOptions(kMaxSpeculationDepth);
+    SuiteRunOptions parallel = serial;
+    parallel.jobs = 4;
+
+    const std::vector<std::string> configs = {"tage-gsc+i",
+                                              "meta(tage-gsc,gshare)"};
+    SuiteResults a, b;
+    ASSERT_NO_THROW(a = runSuite(benchmarks, configs, serial));
+    ASSERT_NO_THROW(b = runSuite(benchmarks, configs, parallel));
+    ASSERT_EQ(a.cells.size(), benchmarks.size() * configs.size());
+    ASSERT_EQ(a.cells.size(), b.cells.size());
+    for (std::size_t i = 0; i < a.cells.size(); ++i) {
+        EXPECT_GT(a.cells[i].conditionals, 0u);
         EXPECT_EQ(a.cells[i].mispredictions, b.cells[i].mispredictions);
         EXPECT_EQ(a.cells[i].conditionals, b.cells[i].conditionals);
         EXPECT_EQ(a.cells[i].instructions, b.cells[i].instructions);
