@@ -42,7 +42,7 @@ main(int argc, char **argv)
             cfg.imli.enableSic = true;
             cfg.imli.enableOh = false;
             cfg.imli.sic.weight = 3;
-            cfg.gscGlobal.imliIndexTables = counts[i];
+            cfg.gsc.imliIndexTables = counts[i];
             TageGscPredictor pred(cfg);
             const double mpki = simulate(pred, trace).mpki();
             totals[i] += mpki;

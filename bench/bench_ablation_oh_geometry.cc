@@ -32,7 +32,7 @@ runConfig(const Trace &trace, unsigned table_bits, bool use_pipe)
     // the recovered Out[N-1][M-1] degenerates to the last write of any
     // branch, which carries no per-branch information.
     cfg.imli.outer.pipeEntries = use_pipe ? 16 : 1;
-    cfg.gscGlobal.imliIndexTables = 2;
+    cfg.gsc.imliIndexTables = 2;
     TageGscPredictor pred(cfg);
     return simulate(pred, trace).mpki();
 }

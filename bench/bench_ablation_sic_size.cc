@@ -49,7 +49,7 @@ main(int argc, char **argv)
             cfg.imli.enableOh = false;
             cfg.imli.sic.logEntries = log_sizes[i];
             cfg.imli.sic.weight = 3;
-            cfg.gscGlobal.imliIndexTables = 2;
+            cfg.gsc.imliIndexTables = 2;
             TageGscPredictor pred(cfg);
             const double mpki = simulate(pred, trace).mpki();
             totals[i] += mpki;

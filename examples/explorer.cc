@@ -148,9 +148,9 @@ cmdDescribe(const CommandLine &cli)
         for (const OverrideKeyInfo &info : knownOverrideKeys()) {
             table.addRow({info.key, std::to_string(info.minValue),
                           std::to_string(info.maxValue),
-                          info.tageGscOnly ? "tage-gsc"
-                          : info.metaOnly  ? "meta"
-                                           : "hosts",
+                          info.scope == KeyScope::TageGsc ? "tage-gsc"
+                          : info.scope == KeyScope::Meta  ? "meta"
+                                                          : "hosts",
                           info.doc + (info.powerOfTwo ? " (power of 2)"
                                                       : "")});
         }

@@ -97,47 +97,20 @@ appendValues(std::vector<long long> &out, const std::string &token,
     }
 }
 
-const OverrideKeyInfo &
-keyInfoOrThrow(const std::string &key)
-{
-    static const std::vector<OverrideKeyInfo> keys = knownOverrideKeys();
-    for (const OverrideKeyInfo &info : keys)
-        if (info.key == key)
-            return info;
-    throw std::invalid_argument("unknown override key in dimension: " + key);
-}
-
 /**
  * Compose base + per-dimension assignments into one canonical point.
+ * The assignments continue the base's own (top-level) '@' section when
+ * it has one; an '@' inside meta(...) belongs to a sub-spec.
  * canonicalSpec runs the full zoo validation (ranges, host
  * applicability, cross-parameter constraints) on the composed string.
  */
-/**
- * True when @p spec has an '@' outside any parentheses — its own
- * override section, as opposed to one belonging to a meta sub-spec.
- */
-bool
-hasTopLevelAt(const std::string &spec)
-{
-    int depth = 0;
-    for (char c : spec) {
-        if (c == '(')
-            ++depth;
-        else if (c == ')' && depth > 0)
-            --depth;
-        else if (c == '@' && depth == 0)
-            return true;
-    }
-    return false;
-}
-
 std::string
 composePoint(const std::string &base,
              const std::vector<ParamDimension> &dims,
              const std::vector<std::size_t> &pick)
 {
     std::string s = base;
-    char sep = hasTopLevelAt(base) ? ',' : '@';
+    char sep = findTopLevel(base, '@') == std::string::npos ? '@' : ',';
     for (std::size_t d = 0; d < dims.size(); ++d) {
         const long long v = dims[d].values[pick[d]];
         s += sep + dims[d].key + "=";
@@ -172,7 +145,10 @@ parseDimension(const std::string &text)
                                     "\" is not of the form key=v1,v2,...");
     ParamDimension dim;
     dim.key = text.substr(0, eq);
-    const OverrideKeyInfo &info = keyInfoOrThrow(dim.key);
+    const OverrideKeyInfo *info = findOverrideKey(dim.key);
+    if (!info)
+        throw std::invalid_argument("unknown override key in dimension: " +
+                                    dim.key);
 
     std::string token;
     std::istringstream is(text.substr(eq + 1));
@@ -185,7 +161,7 @@ parseDimension(const std::string &text)
         if (dim.key == "meta.policy")
             dim.values.push_back(metaPolicyValueFromName(token));
         else
-            appendValues(dim.values, token, info);
+            appendValues(dim.values, token, *info);
     }
     if (dim.values.empty())
         throw std::invalid_argument("dimension " + dim.key +

@@ -47,19 +47,30 @@
 #include "src/predictors/local_component.hh"
 #include "src/predictors/loop_predictor.hh"
 #include "src/predictors/predictor.hh"
+#include "src/predictors/statistical_corrector.hh"
 #include "src/predictors/wormhole.hh"
 
 namespace imli
 {
 
 /**
- * The component slice every host Config shares.  Host Config structs
- * inherit from this, so the composition layer reads one type while
- * each host keeps its core geometry (TAGE tables, adder tree, ...) and
- * its own defaults in the derived struct.
+ * The component slice every host Config shares: the global-history bank
+ * and the IMLI / local / loop-family add-ons.  Host Config structs
+ * inherit from this, so the composition layer and the spec grammar
+ * (zoo.hh: one override applier per shared key) read one type, while
+ * each host keeps its core geometry (TAGE tables, adder tree, ...) in
+ * the derived struct and sets its own defaults for the shared fields in
+ * the derived constructor.
  */
 struct CompositeHostConfig
 {
+    /**
+     * The global-history GEHL bank: the GSC bank of TAGE-GSC's corrector
+     * ("gsc-global") or GEHL's main adder-tree bank ("gehl").  The gsc.*
+     * override keys land here on either host.
+     */
+    GlobalGehlComponent::Config gsc;
+
     ImliComponents::Config imli;
     bool enableImli = false; //!< master switch for the SIC/OH/OMLI add-ons
 

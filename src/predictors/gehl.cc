@@ -4,9 +4,9 @@ namespace imli
 {
 
 GehlPredictor::GehlPredictor(const Config &config)
-    : CompositeHost(config, config.global.maxHistory,
+    : CompositeHost(config, config.gsc.maxHistory,
                     /*digest_seed=*/0x6e41),
-      cfg(config), global(cfg.global, histMgr), voting(cfg.voting)
+      cfg(config), global(cfg.gsc, histMgr), voting(cfg.voting)
 {
     voting.addComponent(&global);
     if (cfg.enableImli) {

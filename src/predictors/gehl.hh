@@ -33,15 +33,15 @@ class GehlPredictor : public CompositeHost
   public:
     struct Config : CompositeHostConfig
     {
-        GlobalGehlComponent::Config global{
-            /*numTables=*/17, /*logEntries=*/11, /*counterBits=*/6,
-            /*minHistory=*/0, /*maxHistory=*/600,
-            /*imliIndexTables=*/0, /*label=*/"gehl"};
         VotingEngine::Config voting{/*thetaInit=*/34, /*thetaMin=*/1,
                                     /*thetaMax=*/511, /*tcBits=*/7};
 
         Config()
         {
+            gsc = GlobalGehlComponent::Config{
+                /*numTables=*/17, /*logEntries=*/11, /*counterBits=*/6,
+                /*minHistory=*/0, /*maxHistory=*/600,
+                /*imliIndexTables=*/0, /*label=*/"gehl"};
             loop = LoopPredictor::Config{/*logSets=*/3, /*ways=*/4};
             configName = "GEHL";
         }

@@ -8,10 +8,10 @@ namespace imli
 TageGscPredictor::TageGscPredictor(const Config &config)
     : CompositeHost(config,
                     std::max(config.tage.maxHistory,
-                             config.gscGlobal.maxHistory),
+                             config.gsc.maxHistory),
                     /*digest_seed=*/0x7a6e),
       cfg(config), tage(cfg.tage, histMgr), bias(cfg.bias),
-      gscGlobal(cfg.gscGlobal, histMgr), corrector(cfg.sc)
+      gscGlobal(cfg.gsc, histMgr), corrector(cfg.sc)
 {
     corrector.addComponent(&bias);
     corrector.addComponent(&gscGlobal);

@@ -35,14 +35,14 @@ class TageGscPredictor : public CompositeHost
         TagePredictor::Config tage;
         BiasComponent::Config bias{/*logEntries=*/9, /*counterBits=*/6,
                                    /*numTables=*/2};
-        GlobalGehlComponent::Config gscGlobal{
-            /*numTables=*/6, /*logEntries=*/10, /*counterBits=*/6,
-            /*minHistory=*/0, /*maxHistory=*/200,
-            /*imliIndexTables=*/0, /*label=*/"gsc-global"};
         StatisticalCorrector::Config sc;
 
         Config()
         {
+            gsc = GlobalGehlComponent::Config{
+                /*numTables=*/6, /*logEntries=*/10, /*counterBits=*/6,
+                /*minHistory=*/0, /*maxHistory=*/200,
+                /*imliIndexTables=*/0, /*label=*/"gsc-global"};
             local = LocalComponent::Config{
                 /*historyEntries=*/256, /*historyBits=*/16,
                 /*numTables=*/3,        /*logEntries=*/10,

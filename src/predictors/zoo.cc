@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 
@@ -14,17 +15,8 @@
 namespace imli
 {
 
-namespace
-{
-
-/**
- * Position of the first top-level (outside any parentheses) occurrence
- * of @p ch in @p s, or npos.  The spec grammar nests sub-specs — with
- * their own '@' sections and commas — inside "meta(...)", so every
- * structural scan must ignore bracketed content.
- */
 std::size_t
-findTopLevel(const std::string &s, char ch, std::size_t from = 0)
+findTopLevel(const std::string &s, char ch, std::size_t from)
 {
     int depth = 0;
     for (std::size_t i = from; i < s.size(); ++i) {
@@ -40,15 +32,22 @@ findTopLevel(const std::string &s, char ch, std::size_t from = 0)
     return std::string::npos;
 }
 
-/** Split "host+a+b" into host and lower-cased addon tokens. */
+namespace
+{
+
+/**
+ * Split "host+a+b" into host and add-on tokens, keeping empty tokens
+ * ("tage-gsc+" is {"tage-gsc", ""}) so parseSpec can reject them.
+ */
 std::vector<std::string>
 splitSpec(const std::string &spec)
 {
     std::vector<std::string> parts;
-    std::string token;
-    std::istringstream is(spec);
-    while (std::getline(is, token, '+'))
-        parts.push_back(token);
+    std::size_t pos = 0;
+    for (std::size_t plus; (plus = spec.find('+', pos)) != std::string::npos;
+         pos = plus + 1)
+        parts.push_back(spec.substr(pos, plus - pos));
+    parts.push_back(spec.substr(pos));
     return parts;
 }
 
@@ -125,206 +124,173 @@ displayName(const std::string &host, const ZooOptions &opts)
 }
 
 // -------------------------------------------------------------------------
-// The override key table.  Each entry names one geometry knob, its legal
-// range, and how it lands in the two host Config structs.  tage.* and
-// bias.* only exist on the TAGE-GSC host; everything else applies to both
-// (gsc.* maps to the GSC global bank on TAGE-GSC and to the main table
-// bank on GEHL).
+// The override key table.  Each entry names one knob, its legal range,
+// and the one applier that lands it in a Config struct.  Which applier a
+// key has is its host scope (KeyScope): keys of the components both
+// hosts share apply to CompositeHostConfig (gsc.* is the global bank:
+// TAGE-GSC's GSC bank, GEHL's main table bank); tage.* and bias.* apply
+// to the TAGE-GSC core; meta.* to the meta chooser; the run-level
+// sim.delay has no applier.
 // -------------------------------------------------------------------------
 
+using HostCfg = CompositeHostConfig;
 using TageCfg = TageGscPredictor::Config;
-using GehlCfg = GehlPredictor::Config;
 using MetaCfg = MetaChooserPredictor::Config;
 using MetaPolicy = MetaChooserPredictor::Policy;
 
 struct KeyEntry
 {
     OverrideKeyInfo info;
+    void (*applyHost)(HostCfg &, long long) = nullptr;
     void (*applyTage)(TageCfg &, long long) = nullptr;
-    void (*applyGehl)(GehlCfg &, long long) = nullptr;
     void (*applyMeta)(MetaCfg &, long long) = nullptr;
 };
 
+/** Derive each key's host scope from the one applier it has. */
+std::vector<KeyEntry>
+withScopes(std::vector<KeyEntry> table)
+{
+    for (KeyEntry &e : table)
+        e.info.scope = e.applyHost   ? KeyScope::Hosts
+                       : e.applyTage ? KeyScope::TageGsc
+                       : e.applyMeta ? KeyScope::Meta
+                                     : KeyScope::Run;
+    return table;
+}
 
 const std::vector<KeyEntry> &
 keyTable()
 {
-    static const std::vector<KeyEntry> table = {
-        {{"bias.logsize", 4, 16, false, true, "log2 entries per bias table"},
-         +[](TageCfg &c, long long v) { c.bias.logEntries = unsigned(v); },
-         nullptr},
-        {{"bias.tables", 1, 4, false, true, "number of bias tables"},
-         +[](TageCfg &c, long long v) { c.bias.numTables = unsigned(v); },
-         nullptr},
-        {{"gsc.ctrbits", 1, 8, false, false,
-          "global bank counter width (bits)"},
-         +[](TageCfg &c, long long v) { c.gscGlobal.counterBits = unsigned(v); },
-         +[](GehlCfg &c, long long v) { c.global.counterBits = unsigned(v); }},
-        {{"gsc.logsize", 4, 20, false, false,
-          "log2 entries per global-bank table"},
-         +[](TageCfg &c, long long v) { c.gscGlobal.logEntries = unsigned(v); },
-         +[](GehlCfg &c, long long v) { c.global.logEntries = unsigned(v); }},
-        {{"gsc.maxhist", 8, 4096, false, false,
-          "longest global-bank history length"},
-         +[](TageCfg &c, long long v) { c.gscGlobal.maxHistory = unsigned(v); },
-         +[](GehlCfg &c, long long v) { c.global.maxHistory = unsigned(v); }},
-        {{"gsc.minhist", 0, 256, false, false,
-          "shortest global-bank history length (0 = PC-only first table)"},
-         +[](TageCfg &c, long long v) { c.gscGlobal.minHistory = unsigned(v); },
-         +[](GehlCfg &c, long long v) { c.global.minHistory = unsigned(v); }},
-        {{"gsc.tables", 1, 32, false, false, "global-bank table count"},
-         +[](TageCfg &c, long long v) { c.gscGlobal.numTables = unsigned(v); },
-         +[](GehlCfg &c, long long v) { c.global.numTables = unsigned(v); }},
-        {{"imli.ctrbits", 4, 16, false, false, "IMLI counter width (bits)"},
-         +[](TageCfg &c, long long v) { c.imli.counterBits = unsigned(v); },
-         +[](GehlCfg &c, long long v) { c.imli.counterBits = unsigned(v); }},
-        {{"itl.iterbits", 4, 16, false, false,
+    static const std::vector<KeyEntry> table = withScopes({
+        {{"bias.logsize", 4, 16, false, "log2 entries per bias table"},
+         nullptr,
+         +[](TageCfg &c, long long v) { c.bias.logEntries = unsigned(v); }},
+        {{"bias.tables", 1, 4, false, "number of bias tables"},
+         nullptr,
+         +[](TageCfg &c, long long v) { c.bias.numTables = unsigned(v); }},
+        {{"gsc.ctrbits", 1, 8, false, "global bank counter width (bits)"},
+         +[](HostCfg &c, long long v) { c.gsc.counterBits = unsigned(v); }},
+        {{"gsc.logsize", 4, 20, false, "log2 entries per global-bank table"},
+         +[](HostCfg &c, long long v) { c.gsc.logEntries = unsigned(v); }},
+        {{"gsc.maxhist", 8, 4096, false, "longest global-bank history length"},
+         +[](HostCfg &c, long long v) { c.gsc.maxHistory = unsigned(v); }},
+        {{"gsc.minhist", 0, 256, false,
+          "shortest global-bank history length (0 = PC-only first "
+          "table)"},
+         +[](HostCfg &c, long long v) { c.gsc.minHistory = unsigned(v); }},
+        {{"gsc.tables", 1, 32, false, "global-bank table count"},
+         +[](HostCfg &c, long long v) { c.gsc.numTables = unsigned(v); }},
+        {{"imli.ctrbits", 4, 16, false, "IMLI counter width (bits)"},
+         +[](HostCfg &c, long long v) { c.imli.counterBits = unsigned(v); }},
+        {{"itl.iterbits", 4, 16, false,
           "ITTAGE-loop iteration counter width (bits)"},
-         +[](TageCfg &c, long long v) { c.itl.iterBits = unsigned(v); },
-         +[](GehlCfg &c, long long v) { c.itl.iterBits = unsigned(v); }},
-        {{"itl.logsets", 0, 8, false, false,
-          "log2 ITTAGE-loop base tracker sets"},
-         +[](TageCfg &c, long long v) { c.itl.logSets = unsigned(v); },
-         +[](GehlCfg &c, long long v) { c.itl.logSets = unsigned(v); }},
-        {{"itl.logsize", 2, 12, false, false,
+         +[](HostCfg &c, long long v) { c.itl.iterBits = unsigned(v); }},
+        {{"itl.logsets", 0, 8, false, "log2 ITTAGE-loop base tracker sets"},
+         +[](HostCfg &c, long long v) { c.itl.logSets = unsigned(v); }},
+        {{"itl.logsize", 2, 12, false,
           "log2 entries per ITTAGE-loop tagged table"},
-         +[](TageCfg &c, long long v) { c.itl.logSize = unsigned(v); },
-         +[](GehlCfg &c, long long v) { c.itl.logSize = unsigned(v); }},
-        {{"itl.tables", 1, 8, false, false,
-          "ITTAGE-loop tagged table count"},
-         +[](TageCfg &c, long long v) { c.itl.numTables = unsigned(v); },
-         +[](GehlCfg &c, long long v) { c.itl.numTables = unsigned(v); }},
-        {{"itl.tagbits", 4, 16, false, false,
+         +[](HostCfg &c, long long v) { c.itl.logSize = unsigned(v); }},
+        {{"itl.tables", 1, 8, false, "ITTAGE-loop tagged table count"},
+         +[](HostCfg &c, long long v) { c.itl.numTables = unsigned(v); }},
+        {{"itl.tagbits", 4, 16, false,
           "ITTAGE-loop tagged partial tag width (bits)"},
-         +[](TageCfg &c, long long v) { c.itl.taggedTagBits = unsigned(v); },
-         +[](GehlCfg &c, long long v) { c.itl.taggedTagBits = unsigned(v); }},
-        {{"itl.ways", 1, 8, false, false,
-          "ITTAGE-loop base tracker associativity"},
-         +[](TageCfg &c, long long v) { c.itl.ways = unsigned(v); },
-         +[](GehlCfg &c, long long v) { c.itl.ways = unsigned(v); }},
-        {{"local.logsize", 4, 16, false, false,
-          "log2 entries per local voting table"},
-         +[](TageCfg &c, long long v) { c.local.logEntries = unsigned(v); },
-         +[](GehlCfg &c, long long v) { c.local.logEntries = unsigned(v); }},
-        {{"local.tables", 1, 8, false, false, "local voting table count"},
-         +[](TageCfg &c, long long v) { c.local.numTables = unsigned(v); },
-         +[](GehlCfg &c, long long v) { c.local.numTables = unsigned(v); }},
-        {{"loop.logsets", 0, 8, false, false, "log2 loop predictor sets"},
-         +[](TageCfg &c, long long v) { c.loop.logSets = unsigned(v); },
-         +[](GehlCfg &c, long long v) { c.loop.logSets = unsigned(v); }},
-        {{"loop.ways", 1, 8, false, false, "loop predictor associativity"},
-         +[](TageCfg &c, long long v) { c.loop.ways = unsigned(v); },
-         +[](GehlCfg &c, long long v) { c.loop.ways = unsigned(v); }},
-        // meta.* keys configure the meta-chooser host (meta_chooser.hh)
-        // and apply to no other host; the meta host in turn accepts only
-        // meta.* and the run-level sim.* keys.
-        {{"meta.countbits", 4, 16, false, false,
-          "UCB pull/reward counter width (bits)", true},
+         +[](HostCfg &c, long long v) { c.itl.taggedTagBits = unsigned(v); }},
+        {{"itl.ways", 1, 8, false, "ITTAGE-loop base tracker associativity"},
+         +[](HostCfg &c, long long v) { c.itl.ways = unsigned(v); }},
+        {{"local.logsize", 4, 16, false, "log2 entries per local voting table"},
+         +[](HostCfg &c, long long v) { c.local.logEntries = unsigned(v); }},
+        {{"local.tables", 1, 8, false, "local voting table count"},
+         +[](HostCfg &c, long long v) { c.local.numTables = unsigned(v); }},
+        {{"loop.logsets", 0, 8, false, "log2 loop predictor sets"},
+         +[](HostCfg &c, long long v) { c.loop.logSets = unsigned(v); }},
+        {{"loop.ways", 1, 8, false, "loop predictor associativity"},
+         +[](HostCfg &c, long long v) { c.loop.ways = unsigned(v); }},
+        // meta.* keys configure the meta-chooser host (meta_chooser.hh);
+        // the meta host in turn accepts only meta.* and the run-level
+        // sim.* keys.
+        {{"meta.countbits", 4, 16, false,
+          "UCB pull/reward counter width (bits)"},
          nullptr, nullptr,
          +[](MetaCfg &c, long long v) { c.countBits = unsigned(v); }},
-        {{"meta.ctrbits", 1, 8, false, false,
-          "tournament chooser counter width (bits)", true},
+        {{"meta.ctrbits", 1, 8, false,
+          "tournament chooser counter width (bits)"},
          nullptr, nullptr,
          +[](MetaCfg &c, long long v) { c.counterBits = unsigned(v); }},
-        {{"meta.explore", 1, 16, false, false,
-          "UCB exploration scale (inside the sqrt)", true},
+        {{"meta.explore", 1, 16, false,
+          "UCB exploration scale (inside the sqrt)"},
          nullptr, nullptr,
          +[](MetaCfg &c, long long v) { c.explore = unsigned(v); }},
-        {{"meta.logsize", 4, 20, false, false,
-          "log2 entries of the per-PC meta table", true},
+        {{"meta.logsize", 4, 20, false,
+          "log2 entries of the per-PC meta table"},
          nullptr, nullptr,
          +[](MetaCfg &c, long long v) { c.logEntries = unsigned(v); }},
-        {{"meta.policy", 0, 2, false, false,
-          "arbitration policy: tournament, ucb or fusion", true},
+        {{"meta.policy", 0, 2, false,
+          "arbitration policy: tournament, ucb or fusion"},
          nullptr, nullptr,
-         +[](MetaCfg &c, long long v) {
-             c.policy = static_cast<MetaPolicy>(v);
-         }},
-        {{"meta.theta", 0, 1024, false, false,
-          "fusion training threshold (0 = 1.93*N + 14)", true},
+         +[](MetaCfg &c, long long v) { c.policy = static_cast<MetaPolicy>(v); }},
+        {{"meta.theta", 0, 1024, false,
+          "fusion training threshold (0 = 1.93*N + 14)"},
          nullptr, nullptr,
          +[](MetaCfg &c, long long v) { c.theta = unsigned(v); }},
-        {{"meta.wbits", 4, 16, false, false,
-          "fusion weight width (bits)", true},
+        {{"meta.wbits", 4, 16, false, "fusion weight width (bits)"},
          nullptr, nullptr,
          +[](MetaCfg &c, long long v) { c.weightBits = unsigned(v); }},
-        {{"oh.ctrbits", 1, 8, false, false, "IMLI-OH counter width (bits)"},
-         +[](TageCfg &c, long long v) { c.imli.oh.counterBits = unsigned(v); },
-         +[](GehlCfg &c, long long v) { c.imli.oh.counterBits = unsigned(v); }},
-        {{"oh.delay", 0, 1024, false, false,
+        {{"oh.ctrbits", 1, 8, false, "IMLI-OH counter width (bits)"},
+         +[](HostCfg &c, long long v) { c.imli.oh.counterBits = unsigned(v); }},
+        {{"oh.delay", 0, 1024, false,
           "modelled outer-history commit delay (branches)"},
-         +[](TageCfg &c, long long v) { c.imli.ohUpdateDelay = unsigned(v); },
-         +[](GehlCfg &c, long long v) { c.imli.ohUpdateDelay = unsigned(v); }},
-        {{"oh.logsize", 4, 16, false, false,
-          "log2 entries of the IMLI-OH table"},
-         +[](TageCfg &c, long long v) { c.imli.oh.logEntries = unsigned(v); },
-         +[](GehlCfg &c, long long v) { c.imli.oh.logEntries = unsigned(v); }},
-        {{"oh.weight", 1, 8, false, false, "IMLI-OH vote weight"},
-         +[](TageCfg &c, long long v) { c.imli.oh.weight = int(v); },
-         +[](GehlCfg &c, long long v) { c.imli.oh.weight = int(v); }},
-        {{"outer.bits", 64, 65536, true, false,
+         +[](HostCfg &c, long long v) { c.imli.ohUpdateDelay = unsigned(v); }},
+        {{"oh.logsize", 4, 16, false, "log2 entries of the IMLI-OH table"},
+         +[](HostCfg &c, long long v) { c.imli.oh.logEntries = unsigned(v); }},
+        {{"oh.weight", 1, 8, false, "IMLI-OH vote weight"},
+         +[](HostCfg &c, long long v) { c.imli.oh.weight = int(v); }},
+        {{"outer.bits", 64, 65536, true,
           "outer-history table bits (power of two)"},
-         +[](TageCfg &c, long long v) { c.imli.outer.tableBits = unsigned(v); },
-         +[](GehlCfg &c, long long v) { c.imli.outer.tableBits = unsigned(v); }},
-        {{"outer.iterlog", 2, 10, false, false,
+         +[](HostCfg &c, long long v) { c.imli.outer.tableBits = unsigned(v); }},
+        {{"outer.iterlog", 2, 10, false,
           "log2 iteration slots per branch in the outer history"},
-         +[](TageCfg &c, long long v) { c.imli.outer.iterBitsLog = unsigned(v); },
-         +[](GehlCfg &c, long long v) { c.imli.outer.iterBitsLog = unsigned(v); }},
+         +[](HostCfg &c, long long v) { c.imli.outer.iterBitsLog = unsigned(v); }},
         // The PIPE checkpoint packs into 32 bits, so 32 is a hard cap.
-        {{"outer.pipe", 4, 32, true, false,
+        {{"outer.pipe", 4, 32, true,
           "PIPE vector width (power of two, checkpoint-limited)"},
-         +[](TageCfg &c, long long v) { c.imli.outer.pipeEntries = unsigned(v); },
-         +[](GehlCfg &c, long long v) { c.imli.outer.pipeEntries = unsigned(v); }},
-        {{"sic.ctrbits", 1, 8, false, false, "IMLI-SIC counter width (bits)"},
-         +[](TageCfg &c, long long v) { c.imli.sic.counterBits = unsigned(v); },
-         +[](GehlCfg &c, long long v) { c.imli.sic.counterBits = unsigned(v); }},
-        {{"sic.logsize", 4, 16, false, false,
-          "log2 entries of the IMLI-SIC table"},
-         +[](TageCfg &c, long long v) { c.imli.sic.logEntries = unsigned(v); },
-         +[](GehlCfg &c, long long v) { c.imli.sic.logEntries = unsigned(v); }},
-        {{"sic.weight", 1, 8, false, false, "IMLI-SIC vote weight"},
-         +[](TageCfg &c, long long v) { c.imli.sic.weight = int(v); },
-         +[](GehlCfg &c, long long v) { c.imli.sic.weight = int(v); }},
+         +[](HostCfg &c, long long v) { c.imli.outer.pipeEntries = unsigned(v); }},
+        {{"sic.ctrbits", 1, 8, false, "IMLI-SIC counter width (bits)"},
+         +[](HostCfg &c, long long v) { c.imli.sic.counterBits = unsigned(v); }},
+        {{"sic.logsize", 4, 16, false, "log2 entries of the IMLI-SIC table"},
+         +[](HostCfg &c, long long v) { c.imli.sic.logEntries = unsigned(v); }},
+        {{"sic.weight", 1, 8, false, "IMLI-SIC vote weight"},
+         +[](HostCfg &c, long long v) { c.imli.sic.weight = int(v); }},
         // Run-level, not geometry: consumed by the simulation drivers
         // (suite runner / DSE sweep) as the pipeline engine's update
-        // delay for this point.  The no-op appliers keep the config
-        // builders uniform; specUpdateDelay() is the accessor.
-        {{"sim.delay", 0, kMaxSpeculationDepth, false, false,
+        // delay for this point; specUpdateDelay() is the accessor.
+        {{"sim.delay", 0, kMaxSpeculationDepth, false,
           "pipeline update delay for this config point (in-flight "
-          "branches; 0 = immediate)"},
-         +[](TageCfg &, long long) {},
-         +[](GehlCfg &, long long) {}},
-        {{"tage.baselog", 4, 20, false, true,
+          "branches; 0 = immediate)"}},
+        {{"tage.baselog", 4, 20, false,
           "log2 entries of the bimodal base table"},
-         +[](TageCfg &c, long long v) { c.tage.baseLogEntries = unsigned(v); },
-         nullptr},
-        {{"tage.ctrbits", 1, 8, false, true,
-          "TAGE prediction counter width (bits)"},
-         +[](TageCfg &c, long long v) { c.tage.counterBits = unsigned(v); },
-         nullptr},
-        {{"tage.logsize", 4, 20, false, true,
-          "log2 entries per tagged TAGE table"},
-         +[](TageCfg &c, long long v) { c.tage.logEntries = unsigned(v); },
-         nullptr},
-        {{"tage.maxhist", 8, 4096, false, true,
-          "longest TAGE history length"},
-         +[](TageCfg &c, long long v) { c.tage.maxHistory = unsigned(v); },
-         nullptr},
-        {{"tage.minhist", 1, 64, false, true,
-          "shortest TAGE history length"},
-         +[](TageCfg &c, long long v) { c.tage.minHistory = unsigned(v); },
-         nullptr},
-        {{"tage.tables", 1, 32, false, true, "tagged TAGE table count"},
-         +[](TageCfg &c, long long v) { c.tage.numTables = unsigned(v); },
-         nullptr},
-        {{"wh.entries", 1, 64, false, false, "wormhole tagged entries"},
-         +[](TageCfg &c, long long v) { c.wh.numEntries = unsigned(v); },
-         +[](GehlCfg &c, long long v) { c.wh.numEntries = unsigned(v); }},
-        {{"wh.histbits", 64, 8192, false, false,
+         nullptr,
+         +[](TageCfg &c, long long v) { c.tage.baseLogEntries = unsigned(v); }},
+        {{"tage.ctrbits", 1, 8, false, "TAGE prediction counter width (bits)"},
+         nullptr,
+         +[](TageCfg &c, long long v) { c.tage.counterBits = unsigned(v); }},
+        {{"tage.logsize", 4, 20, false, "log2 entries per tagged TAGE table"},
+         nullptr,
+         +[](TageCfg &c, long long v) { c.tage.logEntries = unsigned(v); }},
+        {{"tage.maxhist", 8, 4096, false, "longest TAGE history length"},
+         nullptr,
+         +[](TageCfg &c, long long v) { c.tage.maxHistory = unsigned(v); }},
+        {{"tage.minhist", 1, 64, false, "shortest TAGE history length"},
+         nullptr,
+         +[](TageCfg &c, long long v) { c.tage.minHistory = unsigned(v); }},
+        {{"tage.tables", 1, 32, false, "tagged TAGE table count"},
+         nullptr,
+         +[](TageCfg &c, long long v) { c.tage.numTables = unsigned(v); }},
+        {{"wh.entries", 1, 64, false, "wormhole tagged entries"},
+         +[](HostCfg &c, long long v) { c.wh.numEntries = unsigned(v); }},
+        {{"wh.histbits", 64, 8192, false,
           "wormhole per-entry local history bits"},
-         +[](TageCfg &c, long long v) { c.wh.historyBits = unsigned(v); },
-         +[](GehlCfg &c, long long v) { c.wh.historyBits = unsigned(v); }},
-    };
+         +[](HostCfg &c, long long v) { c.wh.historyBits = unsigned(v); }},
+    });
     return table;
 }
 
@@ -337,11 +303,34 @@ findKey(const std::string &key)
     return nullptr;
 }
 
-/** Strict non-negative decimal integer; anything else throws. */
-long long
-parseOverrideValue(const std::string &key, const std::string &text)
+/**
+ * The key named @p key, checked against @p host's scope: the one host
+ * check behind parseOverrides and the config builders (which are public
+ * API over hand-built ParsedSpecs, so an unknown or wrong-host key must
+ * throw there too, not reach a null applier).
+ */
+const KeyEntry &
+keyForHost(const std::string &key, const std::string &host)
 {
-    return parseDecimalLLStrict(text, "override " + key);
+    const KeyEntry *entry = findKey(key);
+    if (!entry)
+        throw std::invalid_argument("unknown override key: " + key);
+    if (host != "tage-gsc" && host != "gehl" && host != "meta")
+        throw std::invalid_argument("host " + host +
+                                    " accepts no overrides");
+    const KeyScope scope = entry->info.scope;
+    if (scope == KeyScope::TageGsc && host != "tage-gsc")
+        throw std::invalid_argument("override key " + key +
+                                    " only applies to the tage-gsc host");
+    if (scope == KeyScope::Meta && host != "meta")
+        throw std::invalid_argument("override key " + key +
+                                    " only applies to the meta host");
+    if (scope == KeyScope::Hosts && host == "meta")
+        throw std::invalid_argument(
+            "override key " + key + " does not apply to the meta "
+            "host (only meta.* and sim.* keys do; sub-predictor "
+            "keys go on the sub-spec inside the parentheses)");
+    return *entry;
 }
 
 /**
@@ -354,9 +343,8 @@ parseOverrides(const std::string &text, const std::string &host)
     if (text.empty())
         throw std::invalid_argument(
             "spec has an empty override section after '@'");
-    const bool overridable =
-        host == "tage-gsc" || host == "gehl" || host == "meta";
-    std::vector<SpecOverride> raw;
+    // Canonical form: sorted by key, duplicates resolved last-wins.
+    std::map<std::string, long long> canonical;
     std::string token;
     std::istringstream is(text);
     while (std::getline(is, token, ',')) {
@@ -369,59 +357,28 @@ parseOverrides(const std::string &text, const std::string &host)
                                         "\" is not of the form key=value");
         const std::string key = token.substr(0, eq);
         const std::string value = token.substr(eq + 1);
-        const KeyEntry *entry = findKey(key);
-        if (!entry)
-            throw std::invalid_argument("unknown override key: " + key);
-        if (!overridable)
-            throw std::invalid_argument("host " + host +
-                                        " accepts no overrides");
-        if (entry->info.tageGscOnly && host != "tage-gsc")
-            throw std::invalid_argument("override key " + key +
-                                        " only applies to the tage-gsc host");
-        if (entry->info.metaOnly && host != "meta")
-            throw std::invalid_argument("override key " + key +
-                                        " only applies to the meta host");
-        if (host == "meta" && !entry->info.metaOnly &&
-            key.compare(0, 4, "sim.") != 0)
-            throw std::invalid_argument(
-                "override key " + key + " does not apply to the meta "
-                "host (only meta.* and sim.* keys do; sub-predictor "
-                "keys go on the sub-spec inside the parentheses)");
-        const long long v = key == "meta.policy"
-                                ? metaPolicyValueFromName(value)
-                                : parseOverrideValue(key, value);
-        if (v < entry->info.minValue || v > entry->info.maxValue)
+        const OverrideKeyInfo &info = keyForHost(key, host).info;
+        const long long v =
+            key == "meta.policy"
+                ? metaPolicyValueFromName(value)
+                : parseDecimalLLStrict(value, "override " + key);
+        if (v < info.minValue || v > info.maxValue)
             throw std::invalid_argument(
                 "override " + key + "=" + value + " is out of range [" +
-                std::to_string(entry->info.minValue) + ", " +
-                std::to_string(entry->info.maxValue) + "]");
-        if (entry->info.powerOfTwo && !isPowerOfTwo(v))
+                std::to_string(info.minValue) + ", " +
+                std::to_string(info.maxValue) + "]");
+        if (info.powerOfTwo && !isPowerOfTwo(v))
             throw std::invalid_argument("override " + key + "=" + value +
                                         " must be a power of two");
-        raw.push_back({key, v});
+        canonical[key] = v;
     }
-    if (!text.empty() && text.back() == ',')
+    if (text.back() == ',')
         throw std::invalid_argument(
             "empty override in spec (stray comma?)");
-
-    // Canonical form: sorted by key, duplicates resolved last-wins.
-    std::vector<SpecOverride> canonical;
-    for (const SpecOverride &o : raw) {
-        bool replaced = false;
-        for (SpecOverride &c : canonical) {
-            if (c.key == o.key) {
-                c.value = o.value;
-                replaced = true;
-            }
-        }
-        if (!replaced)
-            canonical.push_back(o);
-    }
-    std::sort(canonical.begin(), canonical.end(),
-              [](const SpecOverride &a, const SpecOverride &b) {
-                  return a.key < b.key;
-              });
-    return canonical;
+    std::vector<SpecOverride> overrides;
+    for (const auto &[key, value] : canonical)
+        overrides.push_back({key, value});
+    return overrides;
 }
 
 /** "@key=value,..." suffix in canonical order; "" when no overrides. */
@@ -518,23 +475,6 @@ checkOverrideApplies(const ZooOptions &opts, const std::string &key)
 }
 
 /**
- * Key lookup for the config builders.  They are public API and accept
- * hand-built ParsedSpecs, so an unknown or wrong-host key must throw
- * like every other invalid input, not dereference a null slot.
- */
-const KeyEntry &
-findKeyForHost(const std::string &key, const char *host)
-{
-    const KeyEntry *entry = findKey(key);
-    if (!entry)
-        throw std::invalid_argument("unknown override key: " + key);
-    if (entry->info.tageGscOnly && std::string(host) != "tage-gsc")
-        throw std::invalid_argument("override key " + key +
-                                    " only applies to the tage-gsc host");
-    return *entry;
-}
-
-/**
  * Fit check for a global GEHL bank, shared by both hosts so the gsc.*
  * keys enforce one invariant.  With minhist == 0 the first table is
  * PC-only and the geometric series starts at 2; otherwise it starts at
@@ -571,29 +511,62 @@ checkImliGeometry(const ImliComponents::Config &imli)
             "bits)");
 }
 
+/** Cross-constraints of the TAGE core's history-length series. */
 void
-applyOverridesTage(TageCfg &cfg, const std::vector<SpecOverride> &overrides)
+checkTageGeometry(const TagePredictor::Config &tage)
 {
-    for (const SpecOverride &o : overrides)
-        findKeyForHost(o.key, "tage-gsc").applyTage(cfg, o.value);
-    if (cfg.tage.minHistory >= cfg.tage.maxHistory)
+    if (tage.minHistory >= tage.maxHistory)
         throw std::invalid_argument(
             "tage.minhist must be smaller than tage.maxhist");
-    if (cfg.tage.maxHistory < cfg.tage.minHistory + cfg.tage.numTables)
+    if (tage.maxHistory < tage.minHistory + tage.numTables)
         throw std::invalid_argument(
             "tage.maxhist too small for tage.tables strictly increasing "
             "history lengths");
-    checkGscBank(cfg.gscGlobal);
-    checkImliGeometry(cfg.imli);
 }
 
+/**
+ * The one wiring and check path both host builders share: the add-on
+ * switches, every override through its single applier, the geometry
+ * cross-checks and the display name.  @p tage is the TAGE-GSC Config
+ * that takes the core keys (tage.*, bias.*); it is null on GEHL, where
+ * keyForHost already rejects those keys.
+ */
 void
-applyOverridesGehl(GehlCfg &cfg, const std::vector<SpecOverride> &overrides)
+configureHost(CompositeHostConfig &cfg, TageCfg *tage,
+              const ParsedSpec &parsed, const char *label)
 {
-    for (const SpecOverride &o : overrides)
-        findKeyForHost(o.key, "gehl").applyGehl(cfg, o.value);
-    checkGscBank(cfg.global);
+    const ZooOptions &opts = parsed.opts;
+    cfg.enableImli = opts.imliSic || opts.imliOh || opts.omli;
+    cfg.imli.enableSic = opts.imliSic;
+    cfg.imli.enableOh = opts.imliOh;
+    cfg.imli.enableOmli = opts.omli;
+    cfg.imli.sic.weight = 3;
+    cfg.imli.oh.weight = 1;
+    // Section 4.2: the SIC benefit increases further when the IMLI counter
+    // is hashed into the indices of two global SC tables.
+    cfg.gsc.imliIndexTables = opts.imliSic
+                                  ? std::max(2u, opts.imliInGscTables)
+                                  : opts.imliInGscTables;
+    cfg.enableLocal = opts.local;
+    cfg.enableLoop = opts.local || opts.loopOnly || opts.wormhole;
+    cfg.loopOverride = opts.local || opts.loopOnly;
+    cfg.enableItl = opts.ittageLoop;
+    cfg.enableWh = opts.wormhole;
+    for (const SpecOverride &o : parsed.overrides)
+        checkOverrideApplies(opts, o.key);
+    for (const SpecOverride &o : parsed.overrides) {
+        const KeyEntry &entry = keyForHost(o.key, parsed.host);
+        if (entry.applyHost)
+            entry.applyHost(cfg, o.value);
+        else if (entry.applyTage)
+            entry.applyTage(*tage, o.value);
+    }
+    if (tage)
+        checkTageGeometry(tage->tage);
+    checkGscBank(cfg.gsc);
     checkImliGeometry(cfg.imli);
+    cfg.configName = displayName(label, opts) +
+                     overrideSuffix(parsed.overrides);
 }
 
 } // anonymous namespace
@@ -632,8 +605,20 @@ parseSpec(const std::string &spec)
             parsed.overrides = parseOverrides(tail.substr(1), "meta");
         }
         parsed.host = "meta";
-        const std::vector<std::string> subs =
-            splitSpecList(spec.substr(5, close - 5));
+        const std::string arms = spec.substr(5, close - 5);
+        // splitSpecList skips empty fragments (a stray comma in a
+        // --configs list is harmless); a dropped chooser arm is not.
+        for (std::size_t pos = 0; !arms.empty();) {
+            const std::size_t comma = findTopLevel(arms, ',', pos);
+            if (comma == pos || pos == arms.size())
+                throw std::invalid_argument(
+                    "meta spec has an empty sub-spec (stray comma?): " +
+                    spec);
+            if (comma == std::string::npos)
+                break;
+            pos = comma + 1;
+        }
+        const std::vector<std::string> subs = splitSpecList(arms);
         if (subs.empty())
             throw std::invalid_argument(
                 "meta spec needs at least one sub-spec inside the "
@@ -665,8 +650,12 @@ parseSpec(const std::string &spec)
         at == std::string::npos ? spec : spec.substr(0, at);
 
     const auto parts = splitSpec(base);
-    if (parts.empty() || parts[0].empty())
+    if (parts[0].empty())
         throw std::invalid_argument("empty predictor spec");
+    for (std::size_t i = 1; i < parts.size(); ++i)
+        if (parts[i].empty())
+            throw std::invalid_argument(
+                "spec has an empty add-on (stray '+'): " + spec);
     parsed.host = parts[0];
     if (parsed.host == "bimodal" || parsed.host == "gshare" ||
         parsed.host == "itl") {
@@ -720,30 +709,8 @@ buildTageGscConfig(const ParsedSpec &parsed)
     if (parsed.host != "tage-gsc")
         throw std::invalid_argument("buildTageGscConfig: host is " +
                                     parsed.host);
-    const ZooOptions &opts = parsed.opts;
     TageGscPredictor::Config cfg;
-    cfg.enableImli = opts.imliSic || opts.imliOh || opts.omli;
-    cfg.imli.enableSic = opts.imliSic;
-    cfg.imli.enableOh = opts.imliOh;
-    cfg.imli.enableOmli = opts.omli;
-    cfg.imli.sic.weight = 3;
-    cfg.imli.oh.weight = 1;
-    cfg.imli.ohUpdateDelay = opts.ohUpdateDelay;
-    // Section 4.2: the SIC benefit increases further when the IMLI counter
-    // is hashed into the indices of two global SC tables.
-    cfg.gscGlobal.imliIndexTables =
-        opts.imliSic ? std::max(2u, opts.imliInGscTables)
-                     : opts.imliInGscTables;
-    cfg.enableLocal = opts.local;
-    cfg.enableLoop = opts.local || opts.loopOnly || opts.wormhole;
-    cfg.loopOverride = opts.local || opts.loopOnly;
-    cfg.enableItl = opts.ittageLoop;
-    cfg.enableWh = opts.wormhole;
-    for (const SpecOverride &o : parsed.overrides)
-        checkOverrideApplies(opts, o.key);
-    applyOverridesTage(cfg, parsed.overrides);
-    cfg.configName = displayName("TAGE-GSC", opts) +
-                     overrideSuffix(parsed.overrides);
+    configureHost(cfg, &cfg, parsed, "TAGE-GSC");
     return cfg;
 }
 
@@ -755,14 +722,9 @@ buildMetaConfig(const ParsedSpec &parsed)
                                     parsed.host);
     checkMetaOverrideApplies(parsed.overrides);
     MetaChooserPredictor::Config cfg;
-    for (const SpecOverride &o : parsed.overrides) {
-        const KeyEntry &entry = findKeyForHost(o.key, "meta");
-        if (entry.applyMeta)
-            entry.applyMeta(cfg, o.value);
-        else if (o.key.compare(0, 4, "sim.") != 0)
-            throw std::invalid_argument("override key " + o.key +
-                                        " does not apply to the meta host");
-    }
+    for (const SpecOverride &o : parsed.overrides)
+        if (const auto apply = keyForHost(o.key, "meta").applyMeta)
+            apply(cfg, o.value);
     cfg.configName = describeConfig(parsed);
     return cfg;
 }
@@ -773,28 +735,8 @@ buildGehlConfig(const ParsedSpec &parsed)
     if (parsed.host != "gehl")
         throw std::invalid_argument("buildGehlConfig: host is " +
                                     parsed.host);
-    const ZooOptions &opts = parsed.opts;
     GehlPredictor::Config cfg;
-    cfg.enableImli = opts.imliSic || opts.imliOh || opts.omli;
-    cfg.imli.enableSic = opts.imliSic;
-    cfg.imli.enableOh = opts.imliOh;
-    cfg.imli.enableOmli = opts.omli;
-    cfg.imli.sic.weight = 3;
-    cfg.imli.oh.weight = 1;
-    cfg.imli.ohUpdateDelay = opts.ohUpdateDelay;
-    cfg.global.imliIndexTables =
-        opts.imliSic ? std::max(2u, opts.imliInGscTables)
-                     : opts.imliInGscTables;
-    cfg.enableLocal = opts.local;
-    cfg.enableLoop = opts.local || opts.loopOnly || opts.wormhole;
-    cfg.loopOverride = opts.local || opts.loopOnly;
-    cfg.enableItl = opts.ittageLoop;
-    cfg.enableWh = opts.wormhole;
-    for (const SpecOverride &o : parsed.overrides)
-        checkOverrideApplies(opts, o.key);
-    applyOverridesGehl(cfg, parsed.overrides);
-    cfg.configName = displayName("GEHL", opts) +
-                     overrideSuffix(parsed.overrides);
+    configureHost(cfg, nullptr, parsed, "GEHL");
     return cfg;
 }
 
@@ -807,11 +749,16 @@ onOff(bool v)
     return v ? "on" : "off";
 }
 
-/** The Config fields shared by both hosts (imli / loop / wh / local). */
-template <typename Cfg>
+/** The CompositeHostConfig slice both hosts share. */
 void
-describeSharedDetail(std::ostream &os, const Cfg &cfg)
+describeHostDetail(std::ostream &os, const CompositeHostConfig &cfg)
 {
+    os << "gsc:      tables=" << cfg.gsc.numTables
+       << " logsize=" << cfg.gsc.logEntries
+       << " ctrbits=" << cfg.gsc.counterBits
+       << " minhist=" << cfg.gsc.minHistory
+       << " maxhist=" << cfg.gsc.maxHistory
+       << " imli-tables=" << cfg.gsc.imliIndexTables << '\n';
     os << "imli:     sic=" << onOff(cfg.imli.enableSic)
        << " oh=" << onOff(cfg.imli.enableOh)
        << " omli=" << onOff(cfg.imli.enableOmli)
@@ -863,22 +810,9 @@ describeConfigDetail(const ParsedSpec &parsed)
         os << "bias:     tables=" << cfg.bias.numTables
            << " logsize=" << cfg.bias.logEntries
            << " ctrbits=" << cfg.bias.counterBits << '\n';
-        os << "gsc:      tables=" << cfg.gscGlobal.numTables
-           << " logsize=" << cfg.gscGlobal.logEntries
-           << " ctrbits=" << cfg.gscGlobal.counterBits
-           << " minhist=" << cfg.gscGlobal.minHistory
-           << " maxhist=" << cfg.gscGlobal.maxHistory
-           << " imli-tables=" << cfg.gscGlobal.imliIndexTables << '\n';
-        describeSharedDetail(os, cfg);
+        describeHostDetail(os, cfg);
     } else if (parsed.host == "gehl") {
-        const GehlPredictor::Config cfg = buildGehlConfig(parsed);
-        os << "gsc:      tables=" << cfg.global.numTables
-           << " logsize=" << cfg.global.logEntries
-           << " ctrbits=" << cfg.global.counterBits
-           << " minhist=" << cfg.global.minHistory
-           << " maxhist=" << cfg.global.maxHistory
-           << " imli-tables=" << cfg.global.imliIndexTables << '\n';
-        describeSharedDetail(os, cfg);
+        describeHostDetail(os, buildGehlConfig(parsed));
     } else if (parsed.host == "meta") {
         const MetaChooserPredictor::Config cfg = buildMetaConfig(parsed);
         os << "meta:     policy="
@@ -896,24 +830,6 @@ describeConfigDetail(const ParsedSpec &parsed)
        << storage.totalBits() << " bits, " << storage.totalBytes()
        << " bytes)\n";
     return os.str();
-}
-
-PredictorPtr
-makeTageGsc(const ZooOptions &opts)
-{
-    ParsedSpec parsed;
-    parsed.host = "tage-gsc";
-    parsed.opts = opts;
-    return std::make_unique<TageGscPredictor>(buildTageGscConfig(parsed));
-}
-
-PredictorPtr
-makeGehl(const ZooOptions &opts)
-{
-    ParsedSpec parsed;
-    parsed.host = "gehl";
-    parsed.opts = opts;
-    return std::make_unique<GehlPredictor>(buildGehlConfig(parsed));
 }
 
 PredictorPtr
@@ -1053,6 +969,13 @@ knownOverrideKeys()
     for (const KeyEntry &e : keyTable())
         keys.push_back(e.info);
     return keys;
+}
+
+const OverrideKeyInfo *
+findOverrideKey(const std::string &key)
+{
+    const KeyEntry *entry = findKey(key);
+    return entry ? &entry->info : nullptr;
 }
 
 std::string

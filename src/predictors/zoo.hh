@@ -32,6 +32,11 @@
  * Every key names one geometry knob of the underlying Config structs
  * (TAGE table count / log size / history lengths, SC table geometry,
  * SIC/OH/loop/wormhole sizes, counter widths — see knownOverrideKeys()).
+ * Each key has exactly one applier, and the struct it writes is the
+ * key's host scope (KeyScope): the components both hosts share — the
+ * global bank (gsc.*), IMLI, loop family, local — live in
+ * CompositeHostConfig, so one applier serves tage-gsc and gehl alike;
+ * tage.* / bias.* write the TAGE-GSC core; meta.* the meta chooser.
  *
  * The meta-chooser host composes any other specs (see meta_chooser.hh):
  *
@@ -49,9 +54,10 @@
  * speculative pipeline engine's update delay for the point (see
  * specUpdateDelay()), making update timing a sweepable DSE dimension.
  * Parsing is strict: unknown keys, values out of their documented range,
- * non-integer values, keys that do not apply to the chosen host, and
- * keys whose component the spec does not enable (e.g. sic.* without
- * +sic — the override would be silently inert) all throw
+ * non-integer values, keys that do not apply to the chosen host, keys
+ * whose component the spec does not enable (e.g. sic.* without +sic —
+ * the override would be silently inert), an empty add-on ("tage-gsc+")
+ * and an empty meta arm ("meta(gshare,)") all throw
  * std::invalid_argument.  describeConfig() echoes the canonical
  * form (sorted, deduplicated keys), so
  * describeConfig(parseSpec(s)) == canonicalSpec(s) for every valid s.
@@ -71,7 +77,10 @@
 namespace imli
 {
 
-/** Parsed add-on set for a host predictor. */
+/**
+ * The add-on set of a tage-gsc / gehl spec: the "+addon" tokens and
+ * nothing else.  Geometry, oh.delay included, travels as overrides.
+ */
 struct ZooOptions
 {
     bool imliSic = false;
@@ -83,7 +92,6 @@ struct ZooOptions
     /** Beyond-the-paper OMLI extension (outer-iteration phase table). */
     bool omli = false;
     unsigned imliInGscTables = 0;
-    unsigned ohUpdateDelay = 0;
 };
 
 /** One "key=value" geometry override from the @-section of a spec. */
@@ -117,6 +125,19 @@ struct ParsedSpec
     std::vector<std::string> subSpecs;
 };
 
+/**
+ * Which hosts an override key applies to.  Not declared per key: it is
+ * the Config struct the key's one applier writes (see the key table in
+ * zoo.cc), so a key cannot claim a host its applier never reaches.
+ */
+enum class KeyScope
+{
+    Hosts,   //!< tage-gsc and gehl: a CompositeHostConfig component
+    TageGsc, //!< tage-gsc only: the TAGE core and bias tables
+    Meta,    //!< meta only: the chooser's own geometry and policy
+    Run,     //!< every overridable host: run-level (sim.*), no applier
+};
+
 /** One override key of the design-space grammar, with its legal range. */
 struct OverrideKeyInfo
 {
@@ -124,9 +145,8 @@ struct OverrideKeyInfo
     long long minValue = 0;
     long long maxValue = 0;
     bool powerOfTwo = false;   //!< value must be a power of two
-    bool tageGscOnly = false;  //!< key only applies to the tage-gsc host
     std::string doc;           //!< one-line description for CLI help
-    bool metaOnly = false;     //!< key only applies to the meta host
+    KeyScope scope = KeyScope::Run; //!< derived from the key's applier
 };
 
 /**
@@ -163,12 +183,6 @@ std::string describeConfigDetail(const ParsedSpec &parsed);
 TageGscPredictor::Config buildTageGscConfig(const ParsedSpec &parsed);
 GehlPredictor::Config buildGehlConfig(const ParsedSpec &parsed);
 MetaChooserPredictor::Config buildMetaConfig(const ParsedSpec &parsed);
-
-/** Build a TAGE-GSC configuration. */
-PredictorPtr makeTageGsc(const ZooOptions &opts = ZooOptions());
-
-/** Build a GEHL configuration. */
-PredictorPtr makeGehl(const ZooOptions &opts = ZooOptions());
 
 /**
  * Build any predictor from a spec string (see file header).  Throws
@@ -217,6 +231,18 @@ unsigned specUpdateDelay(const ParsedSpec &parsed);
 
 /** Every override key of the design-space grammar, sorted by key. */
 std::vector<OverrideKeyInfo> knownOverrideKeys();
+
+/** The override key named @p key, or nullptr when there is none. */
+const OverrideKeyInfo *findOverrideKey(const std::string &key);
+
+/**
+ * Position of the first occurrence of @p ch in @p s at or after @p from
+ * that lies outside any parentheses, or npos.  The spec grammar nests
+ * sub-specs (with their own '@' sections and commas) inside "meta(...)",
+ * so every structural scan of a spec must skip bracketed content.
+ */
+std::size_t findTopLevel(const std::string &s, char ch,
+                         std::size_t from = 0);
 
 /**
  * Canonical name of a meta.policy override value ("tournament", "ucb"

@@ -34,14 +34,9 @@ runDelayedUpdateSweep(const std::vector<BenchmarkSpec> &benchmarks,
         // never materialized.
         std::vector<PredictorPtr> predictors;
         predictors.reserve(delays.size());
-        for (unsigned delay : delays) {
-            ZooOptions opts;
-            opts.imliSic = true;
-            opts.imliOh = true;
-            opts.ohUpdateDelay = delay;
-            predictors.push_back(host == "tage-gsc" ? makeTageGsc(opts)
-                                                    : makeGehl(opts));
-        }
+        for (unsigned delay : delays)
+            predictors.push_back(makePredictor(
+                host + "+i@oh.delay=" + std::to_string(delay)));
         GeneratorBranchSource source(spec, branches_per_trace);
         const std::vector<SimResult> results =
             simulateMany(predictors, source);
@@ -96,13 +91,8 @@ runPipelineDelaySweep(const std::vector<BenchmarkSpec> &benchmarks,
         std::vector<PredictorPtr> predictors;
         std::vector<SimOptions> simOptions;
         for (unsigned delay : delays) {
-            ZooOptions plain;
-            ZooOptions withImli;
-            withImli.imliSic = true;
-            withImli.imliOh = true;
-            for (const ZooOptions &opts : {plain, withImli}) {
-                predictors.push_back(host == "tage-gsc" ? makeTageGsc(opts)
-                                                        : makeGehl(opts));
+            for (const std::string &config : {host, host + "+i"}) {
+                predictors.push_back(makePredictor(config));
                 SimOptions sim;
                 sim.updateDelay = delay;
                 sim.pipeline = true;

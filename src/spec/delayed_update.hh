@@ -31,7 +31,8 @@ struct DelayedUpdatePoint
 
 /**
  * Run "host+I" (host in {"tage-gsc", "gehl"}) over @p benchmarks for each
- * delay value and return the average MPKI per point.  This is the
+ * delay value (the spec "host+i@oh.delay=D", so each delay must lie in
+ * that key's range) and return the average MPKI per point.  This is the
  * paper's original experiment: only the outer-history table write is
  * delayed (ImliOuterHistory's internal queue); everything else updates
  * immediately.

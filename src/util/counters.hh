@@ -128,14 +128,16 @@ class SignedCounter
     SignedCounter() = default;
 
     /**
-     * @param num_bits counter width in bits (2..16)
+     * @param num_bits counter width in bits (1..16; one bit is a pure
+     *        sign vote in [-1, 0], the low end of the spec grammar's
+     *        gsc/sic/oh.ctrbits ranges)
      * @param initial initial value, must be representable
      */
     explicit SignedCounter(unsigned num_bits, int initial = 0)
         : bits(static_cast<std::uint8_t>(num_bits)),
           value(static_cast<std::int16_t>(initial))
     {
-        assert(num_bits >= 2 && num_bits <= 16);
+        assert(num_bits >= 1 && num_bits <= 16);
         assert(initial >= minValue() && initial <= maxValue());
     }
 

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 
@@ -178,6 +179,18 @@ TEST(SpecGrammar, RejectsBadOverrides)
     EXPECT_THROW(parseSpec("tage-gsc@sic.logsize=9,"),
                  std::invalid_argument);
     EXPECT_THROW(parseSpec("tage-gsc@a=1@b=2"), std::invalid_argument);
+    // An empty meta arm is an error, not an arm to drop.
+    for (const char *spec : {"meta(gshare,)", "meta(,gshare)",
+                             "meta(gshare,,bimodal)", "meta(,)"}) {
+        try {
+            parseSpec(spec);
+            ADD_FAILURE() << spec << " was accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("empty sub-spec"),
+                      std::string::npos)
+                << spec << ": " << e.what();
+        }
+    }
     // Cross-parameter constraints.
     EXPECT_THROW(parseSpec("tage-gsc@tage.maxhist=8"),
                  std::invalid_argument);
@@ -246,8 +259,8 @@ TEST(SpecGrammar, OverridesReachTheConfigStructs)
 
     const GehlPredictor::Config gcfg = buildGehlConfig(
         parseSpec("gehl+i@gsc.tables=12,gsc.maxhist=300,sic.weight=2"));
-    EXPECT_EQ(gcfg.global.numTables, 12u);
-    EXPECT_EQ(gcfg.global.maxHistory, 300u);
+    EXPECT_EQ(gcfg.gsc.numTables, 12u);
+    EXPECT_EQ(gcfg.gsc.maxHistory, 300u);
     EXPECT_EQ(gcfg.imli.sic.weight, 2);
 
     // The display name carries the canonical override suffix.
@@ -274,12 +287,17 @@ TEST(SpecGrammar, OverridesReachTheConfigStructs)
 
 TEST(SpecGrammar, OverriddenPredictorSimulates)
 {
-    PredictorPtr pred =
-        makePredictor("tage-gsc+sic@sic.logsize=4,tage.logsize=8");
     const Trace t = generateTrace(findBenchmark("WS03"), 4000);
-    const SimResult r = simulate(*pred, t);
-    EXPECT_GT(r.conditionals, 0u);
-    EXPECT_GT(r.accuracy(), 0.5);
+    // The second spec sits at the bottom of every counter-width range.
+    for (const char *spec :
+         {"tage-gsc+sic@sic.logsize=4,tage.logsize=8",
+          "tage-gsc+i@gsc.ctrbits=1,oh.ctrbits=1,sic.ctrbits=1,"
+          "tage.ctrbits=1"}) {
+        PredictorPtr pred = makePredictor(spec);
+        const SimResult r = simulate(*pred, t);
+        EXPECT_GT(r.conditionals, 0u) << spec;
+        EXPECT_GT(r.accuracy(), 0.5) << spec;
+    }
 }
 
 TEST(SpecGrammar, KnownOverrideKeysAreSortedAndDocumented)
@@ -291,6 +309,103 @@ TEST(SpecGrammar, KnownOverrideKeysAreSortedAndDocumented)
         EXPECT_LT(keys[i].minValue, keys[i].maxValue) << keys[i].key;
         if (i > 0)
             EXPECT_LT(keys[i - 1].key, keys[i].key);
+    }
+}
+
+namespace
+{
+
+/**
+ * describeConfigDetail without its spec/name echo lines, which repeat
+ * the override text itself: what is left is the resolved geometry and
+ * the storage total.
+ */
+std::string
+resolvedDetail(const ParsedSpec &parsed)
+{
+    std::istringstream in(describeConfigDetail(parsed));
+    std::string line;
+    std::string out;
+    while (std::getline(in, line))
+        if (line.rfind("spec:", 0) != 0 && line.rfind("name:", 0) != 0)
+            out += line + '\n';
+    return out;
+}
+
+} // anonymous namespace
+
+TEST(SpecGrammar, EveryOverrideKeyReachesItsHostsAndOnlyThem)
+{
+    // The expected hosts come from the key's component prefix, not from
+    // the key table: tage.* / bias.* are the TAGE-GSC core, meta.* the
+    // chooser, sim.* run-level, everything else a component both
+    // composite hosts share.
+    const std::map<std::string, std::string> addonFor = {
+        {"imli", "+sic"}, {"itl", "+itl"},   {"local", "+l"},
+        {"loop", "+loop"}, {"oh", "+oh"},    {"outer", "+oh"},
+        {"sic", "+sic"},  {"wh", "+wh"}};
+    const std::map<std::string, std::string> policyFor = {
+        {"meta.countbits", "ucb"}, {"meta.explore", "ucb"},
+        {"meta.theta", "fusion"},  {"meta.wbits", "fusion"}};
+    for (const OverrideKeyInfo &info : knownOverrideKeys()) {
+        const std::string prefix = info.key.substr(0, info.key.find('.'));
+        std::set<std::string> hosts = {"tage-gsc", "gehl"};
+        if (prefix == "tage" || prefix == "bias")
+            hosts = {"tage-gsc"};
+        else if (prefix == "meta")
+            hosts = {"meta"};
+        else if (prefix == "sim")
+            hosts = {"tage-gsc", "gehl", "meta"};
+        for (const std::string host :
+             {"tage-gsc", "gehl", "meta", "bimodal", "gshare", "itl"}) {
+            SCOPED_TRACE(info.key + " on " + host);
+            // The base spec carries what the key needs to take effect:
+            // its component's add-on, or the meta policy that reads it.
+            std::string base = host;
+            std::string sep = "@";
+            if (host == "meta") {
+                base = "meta(gshare,bimodal)";
+                const auto policy = policyFor.find(info.key);
+                if (policy != policyFor.end()) {
+                    base += "@meta.policy=" + policy->second;
+                    sep = ",";
+                }
+            } else if (host != "bimodal" && host != "gshare" &&
+                       host != "itl" && addonFor.count(prefix)) {
+                base += addonFor.at(prefix);
+            }
+            const auto withValue = [&](long long v) {
+                return base + sep + info.key + "=" +
+                       (info.key == "meta.policy" ? metaPolicyValueName(v)
+                                                  : std::to_string(v));
+            };
+            if (hosts.count(host) == 0) {
+                EXPECT_THROW(parseSpec(withValue(info.minValue)),
+                             std::invalid_argument);
+                continue;
+            }
+            // Some legal value among min, min+1 and max must differ from
+            // the default and show in the resolved configuration.
+            const ParsedSpec plain = parseSpec(base);
+            bool changed = false;
+            for (long long v :
+                 {info.minValue, info.minValue + 1, info.maxValue}) {
+                ParsedSpec parsed;
+                try {
+                    parsed = parseSpec(withValue(v));
+                } catch (const std::invalid_argument &) {
+                    continue; // a cross-constraint rejects this value
+                }
+                changed = info.key == "sim.delay"
+                              ? specUpdateDelay(parsed) !=
+                                    specUpdateDelay(plain)
+                              : resolvedDetail(parsed) !=
+                                    resolvedDetail(plain);
+                if (changed)
+                    break;
+            }
+            EXPECT_TRUE(changed) << "no legal value takes effect";
+        }
     }
 }
 
@@ -306,6 +421,10 @@ TEST(SpecGrammar, SplitSpecListBindsOverrideCommas)
     EXPECT_EQ(specs[3], "gehl+i@oh.logsize=9");
     EXPECT_THROW(splitSpecList("tage-gsc,sic.logsize=9"),
                  std::invalid_argument);
+    // A top-level config list still skips empty fragments; only an empty
+    // arm inside meta(...) is an error.
+    EXPECT_EQ(splitSpecList(",gehl,,bimodal,"),
+              (std::vector<std::string>{"gehl", "bimodal"}));
 }
 
 // ---------------------------------------------------------------------------

@@ -194,6 +194,15 @@ TEST(SignedCounter, Bounds)
     SignedCounter c(6);
     EXPECT_EQ(c.maxValue(), 31);
     EXPECT_EQ(c.minValue(), -32);
+    // One bit is a sign vote: [-1, 0], centred values -1 and +1.
+    SignedCounter sign(1);
+    EXPECT_EQ(sign.maxValue(), 0);
+    EXPECT_EQ(sign.minValue(), -1);
+    sign.update(true);
+    EXPECT_EQ(sign.centered(), 1);
+    sign.update(false);
+    sign.update(false);
+    EXPECT_EQ(sign.centered(), -1);
 }
 
 TEST(SignedCounter, SaturatesBothWays)

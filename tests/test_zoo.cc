@@ -38,6 +38,19 @@ TEST(Zoo, UnknownSpecsThrow)
     EXPECT_THROW(makePredictor("alpha21264"), std::invalid_argument);
     EXPECT_THROW(makePredictor("tage-gsc+bogus"), std::invalid_argument);
     EXPECT_THROW(makePredictor("bimodal+i"), std::invalid_argument);
+    // An empty add-on is an error, not a token to drop, and the message
+    // says so instead of naming an empty add-on as unknown.
+    for (const char *spec :
+         {"tage-gsc+", "bimodal+", "tage-gsc++i", "gehl+i+"}) {
+        try {
+            makePredictor(spec);
+            ADD_FAILURE() << spec << " was accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("empty add-on"),
+                      std::string::npos)
+                << spec << ": " << e.what();
+        }
+    }
 }
 
 TEST(Zoo, NamesReflectAddons)
