@@ -10,6 +10,8 @@
  *   --jobs N       suite-runner worker threads (default 1, or the
  *                  IMLI_JOBS environment variable; 0/auto = all hardware
  *                  threads).  Results are bit-identical at any N.
+ * and rejects every other flag, except --recorded DIR on the benches
+ * that read it.
  */
 
 #ifndef IMLI_BENCH_BENCH_COMMON_HH
@@ -32,14 +34,19 @@
 namespace imli::bench
 {
 
-/** Parse the standard bench flags. */
+/**
+ * Parse the standard bench flags.  Any other flag exits 1 naming it
+ * (a typo must not run the default experiment); --recorded DIR is read
+ * only by the benches that construct with reads_recorded.
+ */
 struct BenchArgs
 {
     std::size_t branches;
     bool csv;
     unsigned jobs;
+    std::string recorded;  //!< --recorded DIR ("" = generated suite only)
 
-    BenchArgs(int argc, char **argv)
+    BenchArgs(int argc, char **argv, bool reads_recorded = false)
     {
         try {
             CommandLine cli(argc, argv);
@@ -55,12 +62,24 @@ struct BenchArgs
                        ? ThreadPool::parseJobsStrict(cli.getString("jobs"),
                                                      "--jobs")
                        : defaultJobs();
+            if (reads_recorded)
+                recorded = cli.getString("recorded", "");
+            cli.rejectUnreadFlags();
         } catch (const std::exception &e) {
-            // Bad IMLI_BRANCHES / IMLI_JOBS overrides: fail the run with
-            // the parse error, not a raw terminate().
+            // Bad flags or IMLI_BRANCHES / IMLI_JOBS overrides: fail the
+            // run with the parse error, not a raw terminate().
             std::cerr << "error: " << e.what() << '\n';
             std::exit(1);
         }
+    }
+
+    /** Suite-runner options carrying the parsed trace length and jobs. */
+    SuiteRunOptions suiteOptions() const
+    {
+        SuiteRunOptions opt;
+        opt.branchesPerTrace = branches;
+        opt.jobs = jobs;
+        return opt;
     }
 };
 
@@ -71,51 +90,22 @@ struct BenchArgs
  * suite CLIs.
  */
 inline std::vector<BenchmarkSpec>
-suitePoolWithRecorded(const CommandLine &cli)
+suitePoolWithRecorded(const BenchArgs &args)
 {
-    return makeSuiteCorpus(cli.getString("recorded", "")).benchmarks();
+    try {
+        return makeSuiteCorpus(args.recorded).benchmarks();
+    } catch (const std::exception &e) {
+        // A bad --recorded DIR fails like a bad flag, not by terminate().
+        std::cerr << "error: " << e.what() << '\n';
+        std::exit(1);
+    }
 }
 
-/** Run @p configs over the full 80-benchmark suite. */
-inline SuiteResults
-runFullSuite(const std::vector<std::string> &configs, std::size_t branches,
-             unsigned jobs = 1)
-{
-    SuiteRunOptions opt;
-    opt.branchesPerTrace = branches;
-    opt.jobs = jobs;
-    return runSuite(fullSuite(), configs, opt);
-}
-
-/** Run @p configs over the full suite with the parsed bench flags. */
+/** Run @p configs over the full 80-benchmark suite with the bench flags. */
 inline SuiteResults
 runFullSuite(const std::vector<std::string> &configs, const BenchArgs &args)
 {
-    return runFullSuite(configs, args.branches, args.jobs);
-}
-
-/** Run @p configs over a named subset of the suite. */
-inline SuiteResults
-runBenchmarks(const std::vector<std::string> &names,
-              const std::vector<std::string> &configs,
-              std::size_t branches, unsigned jobs = 1)
-{
-    std::vector<BenchmarkSpec> specs;
-    specs.reserve(names.size());
-    for (const std::string &name : names)
-        specs.push_back(findBenchmark(name));
-    SuiteRunOptions opt;
-    opt.branchesPerTrace = branches;
-    opt.jobs = jobs;
-    return runSuite(specs, configs, opt);
-}
-
-/** Run @p configs over a named subset with the parsed bench flags. */
-inline SuiteResults
-runBenchmarks(const std::vector<std::string> &names,
-              const std::vector<std::string> &configs, const BenchArgs &args)
-{
-    return runBenchmarks(names, configs, args.branches, args.jobs);
+    return runSuite(fullSuite(), configs, args.suiteOptions());
 }
 
 /** Storage of a zoo config in Kbits. */

@@ -49,8 +49,7 @@ markedEntries(const SuiteResults &results,
 int
 main(int argc, char **argv)
 {
-    const BenchArgs args(argc, argv);
-    const CommandLine cli(argc, argv);
+    const BenchArgs args(argc, argv, /*reads_recorded=*/true);
 
     const std::string base = "tage-gsc";
     const std::vector<std::string> configs = {
@@ -66,11 +65,8 @@ main(int argc, char **argv)
 
     // The full generated suite, plus the recorded scenarios on request
     // (the shared corpus-layer --recorded wiring).
-    const std::vector<BenchmarkSpec> pool = suitePoolWithRecorded(cli);
-    SuiteRunOptions opt;
-    opt.branchesPerTrace = args.branches;
-    opt.jobs = args.jobs;
-    const SuiteResults results = runSuite(pool, configs, opt);
+    const std::vector<BenchmarkSpec> pool = suitePoolWithRecorded(args);
+    const SuiteResults results = runSuite(pool, configs, args.suiteOptions());
 
     if (args.csv) {
         printCellsCsv(std::cout, results);

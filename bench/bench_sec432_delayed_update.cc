@@ -35,7 +35,7 @@ main(int argc, char **argv)
     for (const std::string host : {"tage-gsc", "gehl"}) {
         const auto points =
             runDelayedUpdateSweep(fullSuite(), delays, host,
-                                  args.branches);
+                                  args.suiteOptions());
         TableWriter table("Section 4.3.2: outer-history update delay "
                           "sweep, host = " + host + "+I (avg MPKI)");
         table.setHeader({"delay (branches)", "CBP4", "CBP3", "all",
@@ -65,7 +65,7 @@ main(int argc, char **argv)
     for (const std::string host : {"tage-gsc", "gehl"}) {
         const auto points =
             runPipelineDelaySweep(fullSuite(), delays, host,
-                                  args.branches);
+                                  args.suiteOptions());
         TableWriter table("Section 4.3.2 on the pipeline engine: "
                           "commit-time update, host = " + host +
                           " (avg MPKI)");

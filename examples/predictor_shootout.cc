@@ -8,7 +8,7 @@
  *                           [--benchmarks SPEC2K6-12,MM-4,WS04]
  *                           [--recorded DIR]  (REC-01..REC-08 become
  *                            addressable benchmark names)
- *                           [--update-delay N | --pipeline]
+ *                           [--update-delay N]
  *                           [--metrics FILE] [--phase-interval N]
  *
  * With --update-delay N the whole ladder runs on the speculative
@@ -23,13 +23,10 @@
 
 #include <fstream>
 #include <iostream>
-#include <memory>
 
 #include "src/corpus/trace_corpus.hh"
 #include "src/obs/metrics.hh"
-#include "src/obs/phase_series.hh"
 #include "src/predictors/zoo.hh"
-#include "src/sim/simulator.hh"
 #include "src/sim/suite_runner.hh"
 #include "src/util/cli.hh"
 #include "src/util/table_writer.hh"
@@ -40,8 +37,7 @@ namespace
 const char kUsage[] =
     "usage: predictor_shootout [--branches N] [--benchmarks NAMES]"
     " [--recorded DIR]\n"
-    "                          [--update-delay N | --pipeline]"
-    " [--metrics FILE]\n"
+    "                          [--update-delay N] [--metrics FILE]\n"
     "                          [--phase-interval N]\n";
 
 } // anonymous namespace
@@ -69,12 +65,13 @@ try {
     const imli::TraceCorpus corpus =
         imli::makeSuiteCorpus(cli.getString("recorded", ""));
 
-    imli::SimOptions sim;
-    imli::applyPipelineFlags(cli, sim);
+    imli::SuiteRunOptions options;
+    options.branchesPerTrace = branches;
+    imli::applyPipelineFlags(cli, options.sim);
 
     // Observation layer: absent unless --metrics names a file, keeping
-    // the default run's inertness guarantee.  Cells are benchmark-major
-    // like the suite runner's, one per (benchmark, rung).
+    // the default run's inertness guarantee.  Cells are the suite
+    // runner's, one per (benchmark, rung), benchmark-major.
     imli::obs::MetricsRegistry registry;
     const bool wantMetrics = cli.has("metrics");
     if (wantMetrics) {
@@ -85,7 +82,7 @@ try {
                     "--phase-interval: need a branch interval >= 1");
             registry.phaseInterval = static_cast<std::size_t>(n);
         }
-        registry.resize(benchmarks.size() * ladder.size());
+        options.metrics = &registry;
     } else if (cli.has("phase-interval")) {
         throw std::runtime_error(
             "--phase-interval requires --metrics FILE");
@@ -93,52 +90,26 @@ try {
     // Every flag has been read: a leftover one is a typo, not a default.
     cli.rejectUnreadFlags();
 
+    std::vector<imli::BenchmarkSpec> specs;
+    for (const std::string &name : benchmarks)
+        specs.push_back(corpus.find(name));
+    // The whole ladder rides one streamed pass of each benchmark: the
+    // branch stream is generated once and never materialized.
+    const imli::SuiteResults results = imli::runSuite(specs, ladder, options);
+
     imli::TableWriter table(
-        sim.usePipeline()
+        options.sim.usePipeline()
             ? "MPKI by predictor generation (pipeline, update delay " +
-                  std::to_string(sim.updateDelay) + ")"
+                  std::to_string(options.sim.updateDelay) + ")"
             : "MPKI by predictor generation");
     std::vector<std::string> header = {"benchmark"};
     header.insert(header.end(), ladder.begin(), ladder.end());
     table.setHeader(header);
-
-    for (std::size_t b = 0; b < benchmarks.size(); ++b) {
-        const std::string &name = benchmarks[b];
-        // The whole ladder rides one streamed pass of the benchmark: the
-        // branch stream is generated once and never materialized.
-        std::vector<imli::PredictorPtr> predictors;
-        for (const std::string &spec : ladder)
-            predictors.push_back(imli::makePredictor(spec));
-        std::vector<imli::SimOptions> options(ladder.size(), sim);
-        if (wantMetrics) {
-            for (std::size_t c = 0; c < ladder.size(); ++c) {
-                imli::obs::CellObs &oc =
-                    registry.cell(b * ladder.size() + c);
-                oc.benchmark = name;
-                oc.config = ladder[c];
-                predictors[c]->attachProbes(oc.scope);
-                if (registry.phaseInterval > 0)
-                    oc.phase = std::make_unique<imli::obs::PhaseRecorder>(
-                        registry.phaseInterval, &oc.scope);
-                options[c].metrics = &oc.scope;
-                options[c].phase = oc.phase.get();
-            }
-        }
-        const std::unique_ptr<imli::BranchSource> source =
-            imli::TraceCorpus::open(corpus.find(name), branches);
-        const std::vector<imli::SimResult> results =
-            imli::simulateMany(predictors, *source, options);
-        if (wantMetrics) {
-            for (std::size_t c = 0; c < ladder.size(); ++c) {
-                imli::obs::CellObs &oc =
-                    registry.cell(b * ladder.size() + c);
-                if (oc.phase)
-                    oc.phase->finish();
-            }
-        }
-        std::vector<std::string> row = {name};
-        for (const imli::SimResult &r : results)
-            row.push_back(imli::formatDouble(r.mpki(), 3));
+    for (std::size_t b = 0; b < specs.size(); ++b) {
+        std::vector<std::string> row = {benchmarks[b]};
+        for (std::size_t c = 0; c < ladder.size(); ++c)
+            row.push_back(imli::formatDouble(
+                results.cells[b * ladder.size() + c].mpki, 3));
         table.addRow(row);
     }
     table.print(std::cout);

@@ -25,12 +25,11 @@
  *                      fingerprint, so repeated --class runs skip the
  *                      characterization pass)
  *                     [--jobs N]   (0/auto = all hardware threads)
- *                     [--update-delay N | --pipeline]  (speculative
- *                      pipeline engine: predictor tables train at commit,
- *                      N in-flight branches after prediction; N=0 — or
- *                      bare --pipeline — is bit-identical to the default
- *                      immediate engine.  Per-config delays also work via
- *                      the spec key, e.g. --configs
+ *                     [--update-delay N]  (speculative pipeline engine:
+ *                      predictor tables train at commit, N in-flight
+ *                      branches after prediction; N=0 is bit-identical
+ *                      to the default immediate engine.  Per-config
+ *                      delays also work via the spec key, e.g. --configs
  *                      'tage-gsc+i,tage-gsc+i@sim.delay=63')
  *                     [--metrics FILE]  (export predictor-internals
  *                      metrics as JSON; see src/obs/metrics.hh.  Off by
@@ -73,8 +72,7 @@ const char kUsage[] =
     " [--csv | --json]\n"
     "                    [--recorded DIR] [--class NAME]"
     " [--char-cache DIR] [--jobs N]\n"
-    "                    [--update-delay N | --pipeline]"
-    " [--metrics FILE]\n"
+    "                    [--update-delay N] [--metrics FILE]\n"
     "                    [--phase-interval N] [--trace-events FILE]"
     " [--progress]\n";
 
@@ -140,7 +138,7 @@ try {
                                                      "--jobs")
                        : defaultJobs();
     // Pipeline engine selection: --update-delay N (strict; 0 is the
-    // bit-identity oracle) or bare --pipeline (delay 0).
+    // bit-identity oracle).
     applyPipelineFlags(cli, options.sim);
 
     // Observation layer: entirely absent unless requested, so the default
@@ -187,7 +185,7 @@ try {
         if (!options.sim.usePipeline())
             throw std::runtime_error(
                 "--trace-events requires the pipeline engine "
-                "(--pipeline or --update-delay N)");
+                "(--update-delay N)");
         if (benchmarks.size() != 1 || configs.size() != 1)
             throw std::runtime_error(
                 "--trace-events requires exactly one benchmark and one "

@@ -1,24 +1,18 @@
 #include "src/dse/sweep.hh"
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <memory>
 #include <mutex>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
 
-#include "src/corpus/trace_corpus.hh"
 #include "src/dse/pareto.hh"
 #include "src/obs/metrics.hh"
-#include "src/obs/phase_series.hh"
 #include "src/predictors/zoo.hh"
+#include "src/sim/suite_runner.hh"
 #include "src/util/cli.hh"
 #include "src/util/table_writer.hh"
-#include "src/util/thread_pool.hh"
 
 namespace imli
 {
@@ -263,10 +257,12 @@ namespace
  */
 struct SweepContext
 {
-    std::vector<ParsedSpec> parsedPoints;
     std::vector<std::string> points;  //!< canonical, declared order
     std::vector<std::uint64_t> storageBits;  //!< per point
     std::string meta;  //!< the full sweep's journal metadata line
+    /** Journal-row lookups: benchmark name / canonical point -> index. */
+    std::unordered_map<std::string, std::size_t> benchIndex;
+    std::unordered_map<std::string, std::size_t> pointIndex;
 };
 
 SweepContext
@@ -280,36 +276,30 @@ prepareSweep(const std::vector<BenchmarkSpec> &benchmarks,
         throw std::invalid_argument(what + ": no benchmarks");
 
     SweepContext ctx;
+    std::vector<ParsedSpec> parsed;
+    parsed.reserve(points.size());
     ctx.points.reserve(points.size());
-    // One parse per point; workers and the storage audit below reuse the
-    // ParsedSpec instead of re-parsing the string.
-    ctx.parsedPoints.reserve(points.size());
     for (const std::string &point : points) {
-        ctx.parsedPoints.push_back(parseSpec(point));
-        ctx.points.push_back(describeConfig(ctx.parsedPoints.back()));
+        parsed.push_back(parseSpec(point));
+        ctx.points.push_back(describeConfig(parsed.back()));
     }
-    {
-        std::set<std::string> unique(ctx.points.begin(), ctx.points.end());
-        if (unique.size() != ctx.points.size())
+    for (std::size_t p = 0; p < ctx.points.size(); ++p)
+        if (!ctx.pointIndex.emplace(ctx.points[p], p).second)
             throw std::invalid_argument(
                 what + ": duplicate config points after canonicalization");
-    }
-    {
-        std::set<std::string> names;
-        for (const BenchmarkSpec &spec : benchmarks) {
-            validateBenchmark(spec);
-            if (!names.insert(spec.name).second)
-                throw std::invalid_argument(
-                    what + ": duplicate benchmark name " + spec.name);
-        }
+    for (std::size_t b = 0; b < benchmarks.size(); ++b) {
+        validateBenchmark(benchmarks[b]);
+        if (!ctx.benchIndex.emplace(benchmarks[b].name, b).second)
+            throw std::invalid_argument(
+                what + ": duplicate benchmark name " + benchmarks[b].name);
     }
 
     // One predictor construction per point up front: pins the storage
     // budget for every journal row and validates resumed rows against
     // the current geometry.
-    ctx.storageBits.resize(ctx.points.size());
-    for (std::size_t p = 0; p < ctx.points.size(); ++p)
-        ctx.storageBits[p] = makePredictor(ctx.parsedPoints[p])->storageBits();
+    ctx.storageBits.reserve(parsed.size());
+    for (const ParsedSpec &spec : parsed)
+        ctx.storageBits.push_back(makePredictor(spec)->storageBits());
 
     ctx.meta = journalMeta(benchmarks, options);
     return ctx;
@@ -333,6 +323,79 @@ partitionBenchmarks(std::size_t nbench, std::size_t count)
 }
 
 /**
+ * The journal rows and cells of the benchmarks [begin, begin + nbench),
+ * benchmark-major, point-minor: the canonical journal order.
+ */
+struct CellMatrix
+{
+    CellMatrix(std::size_t begin_bench, std::size_t nbench,
+               std::size_t points)
+        : begin(begin_bench), npoints(points), rows(nbench * points),
+          cells(nbench * points), done(nbench * points, false)
+    {
+    }
+
+    std::size_t begin;
+    std::size_t npoints;
+    std::vector<std::string> rows;
+    std::vector<SweepCell> cells;
+    std::vector<bool> done;
+};
+
+/**
+ * Absorb the committed rows of the journal at @p path — a journal being
+ * resumed or a shard fragment being merged — into @p matrix.  The file
+ * must carry the sweep's metadata line, and every row must name a point
+ * of the sweep and a benchmark of the range [begin, end), match that
+ * benchmark's suite and the point's storage bits, and fill a cell no
+ * earlier row filled.  @p what names the file in every error.  Returns
+ * the absorbed cells in file order.
+ */
+std::vector<SweepCell>
+absorbJournal(const std::string &path, const std::string &what,
+              const std::vector<BenchmarkSpec> &benchmarks,
+              const SweepContext &ctx, std::size_t begin, std::size_t end,
+              CellMatrix &matrix)
+{
+    std::string meta;
+    std::vector<SweepCell> loaded = loadJournal(path, &meta);
+    if (meta != ctx.meta)
+        throw std::runtime_error(
+            what + " was recorded with different options (\"" + meta +
+            "\" vs \"" + ctx.meta + "\"); it belongs to a different sweep, "
+            "and merging would corrupt the results");
+    for (const SweepCell &cell : loaded) {
+        const auto bIt = ctx.benchIndex.find(cell.benchmark);
+        const auto pIt = ctx.pointIndex.find(cell.spec);
+        if (bIt == ctx.benchIndex.end() || pIt == ctx.pointIndex.end())
+            throw std::runtime_error(what + " has a row outside this sweep (" +
+                                     cell.benchmark + " / " + cell.spec +
+                                     ")");
+        const std::size_t b = bIt->second, p = pIt->second;
+        if (b < begin || b >= end)
+            throw std::runtime_error(
+                what + " has a row outside its benchmark range (" +
+                cell.benchmark + " belongs to another shard)");
+        if (cell.suite != benchmarks[b].suite)
+            throw std::runtime_error(what + " suite mismatch for " +
+                                     cell.benchmark);
+        if (cell.storageBits != ctx.storageBits[p])
+            throw std::runtime_error(
+                what + " storage mismatch for " + cell.spec + " (journal " +
+                std::to_string(cell.storageBits) + " bits, current geometry " +
+                std::to_string(ctx.storageBits[p]) + " bits)");
+        const std::size_t idx = (b - matrix.begin) * matrix.npoints + p;
+        if (matrix.done[idx])
+            throw std::runtime_error(what + " has a duplicate row for " +
+                                     cell.benchmark + " / " + cell.spec);
+        matrix.done[idx] = true;
+        matrix.rows[idx] = formatJournalRow(cell);
+        matrix.cells[idx] = cell;
+    }
+    return loaded;
+}
+
+/**
  * The sweep engine proper: run (or resume) the benchmark range
  * [begin_bench, end_bench) of a sweep against @p journal_path.  The
  * full-range call IS runSweep; a sub-range call is a shard writing its
@@ -352,68 +415,19 @@ runRange(const std::vector<BenchmarkSpec> &benchmarks,
 
     const std::size_t npoints = ctx.points.size();
     const std::size_t nbench = end_bench - begin_bench;
-    const std::vector<std::uint64_t> &storageBits = ctx.storageBits;
-    const std::string &meta = ctx.meta;
 
     // ---- Resume: absorb committed rows of an existing journal ----------
-    std::vector<std::string> rows(nbench * npoints);
-    std::vector<SweepCell> parsed(nbench * npoints);
-    std::vector<bool> done(nbench * npoints, false);
+    CellMatrix matrix(begin_bench, nbench, npoints);
+    std::vector<std::string> committed;
     if (fileExists(journal_path)) {
-        // Range-local index: a fragment holding rows outside its own
-        // benchmark range is rejected by the lookup below, exactly like
-        // a foreign benchmark in a single-process resume.
-        std::unordered_map<std::string, std::size_t> benchIndex;
-        for (std::size_t i = 0; i < nbench; ++i)
-            benchIndex.emplace(benchmarks[begin_bench + i].name, i);
-        std::unordered_map<std::string, std::size_t> pointIndex;
-        for (std::size_t i = 0; i < npoints; ++i)
-            pointIndex.emplace(ctx.points[i], i);
-
-        std::string journalOptions;
-        const std::vector<SweepCell> loaded =
-            loadJournal(journal_path, &journalOptions);
-        if (journalOptions != meta)
-            throw std::runtime_error(
-                "sweep journal was recorded with different options (\"" +
-                journalOptions + "\" vs \"" + meta + "\"); merging would "
-                "corrupt the results — use a fresh journal file");
-        for (const SweepCell &cell : loaded) {
-            const auto bIt = benchIndex.find(cell.benchmark);
-            const auto pIt = pointIndex.find(cell.spec);
-            if (bIt == benchIndex.end() || pIt == pointIndex.end())
-                throw std::runtime_error(
-                    "sweep journal row is not part of this sweep (" +
-                    cell.benchmark + " / " + cell.spec + "); refusing to "
-                    "resume a different sweep's journal");
-            const std::size_t b = bIt->second, p = pIt->second;
-            if (cell.suite != benchmarks[begin_bench + b].suite)
-                throw std::runtime_error(
-                    "sweep journal suite mismatch for " + cell.benchmark);
-            if (cell.storageBits != storageBits[p])
-                throw std::runtime_error(
-                    "sweep journal storage mismatch for " + cell.spec +
-                    " (journal " + std::to_string(cell.storageBits) +
-                    " bits, current geometry " +
-                    std::to_string(storageBits[p]) + " bits)");
-            const std::size_t idx = b * npoints + p;
-            if (done[idx])
-                throw std::runtime_error(
-                    "sweep journal has a duplicate row for " +
-                    cell.benchmark + " / " + cell.spec);
-            done[idx] = true;
-            parsed[idx] = cell;
-            rows[idx] = formatJournalRow(cell);
-        }
+        absorbJournal(journal_path, "sweep journal", benchmarks, ctx,
+                      begin_bench, end_bench, matrix);
         // Drop any truncated tail before appending new rows after it.
-        std::vector<std::string> committed;
-        for (std::size_t i = 0; i < rows.size(); ++i)
-            if (done[i])
-                committed.push_back(rows[i]);
-        rewriteJournal(journal_path, meta, committed);
-    } else {
-        rewriteJournal(journal_path, meta, {});
+        for (std::size_t i = 0; i < matrix.rows.size(); ++i)
+            if (matrix.done[i])
+                committed.push_back(matrix.rows[i]);
     }
+    rewriteJournal(journal_path, ctx.meta, committed);
 
     // ---- Simulate the missing cells ------------------------------------
     std::ofstream journal(journal_path, std::ios::binary | std::ios::app);
@@ -428,7 +442,7 @@ runRange(const std::vector<BenchmarkSpec> &benchmarks,
     std::vector<std::vector<std::size_t>> pendingByBench(nbench);
     for (std::size_t b = 0; b < nbench; ++b)
         for (std::size_t p = 0; p < npoints; ++p)
-            if (!done[b * npoints + p])
+            if (!matrix.done[b * npoints + p])
                 pendingByBench[b].push_back(p);
 
     // Per-cell observation slots (journal order) and the per-benchmark
@@ -439,104 +453,56 @@ runRange(const std::vector<BenchmarkSpec> &benchmarks,
     std::vector<double> benchSeconds(nbench, 0.0);
     std::vector<std::uint64_t> benchConditionals(nbench, 0);
 
-    const auto runBenchmark = [&](std::size_t b) {
+    SuiteRunOptions pass;
+    pass.branchesPerTrace = options.branchesPerTrace;
+    pass.chunkBranches = options.chunkBranches;
+    pass.sim = options.sim;
+    pass.metrics = options.metrics;
+
+    forEachBenchmark(nbench, options.jobs, [&](std::size_t b) {
         const BenchmarkSpec &bench = benchmarks[begin_bench + b];
         const std::vector<std::size_t> &pending = pendingByBench[b];
-        if (pending.empty()) {
-            if (options.progress) {
-                std::lock_guard<std::mutex> lock(journalMutex);
-                options.progress(bench.name, 0);
+        // The shared pass over this benchmark's pending points; each
+        // cell's observation slot sits at its range-local journal index.
+        std::vector<SuiteCell> simmed;
+        if (!pending.empty()) {
+            std::vector<std::string> specs;
+            std::vector<obs::CellObs *> slots;
+            for (std::size_t p : pending) {
+                specs.push_back(ctx.points[p]);
+                if (options.metrics != nullptr)
+                    slots.push_back(&options.metrics->cell(b * npoints + p));
             }
-            return;
-        }
-        std::vector<PredictorPtr> predictors;
-        std::vector<SimOptions> simOptions;
-        predictors.reserve(pending.size());
-        simOptions.reserve(pending.size());
-        for (std::size_t p : pending) {
-            predictors.push_back(makePredictor(ctx.parsedPoints[p]));
-            // sim.delay is a sweepable dimension: a point carrying it is
-            // pinned to its own engine depth (see applySpecDelay),
-            // sharing the same streamed pass with the rest.
-            simOptions.push_back(applySpecDelay(ctx.parsedPoints[p],
-                                                options.sim));
-        }
-        // Probe wiring, before the first predict: each cell's slot lives
-        // at its range-local journal index, owned by this worker alone.
-        if (options.metrics != nullptr) {
-            for (std::size_t i = 0; i < pending.size(); ++i) {
-                obs::CellObs &oc =
-                    options.metrics->cell(b * npoints + pending[i]);
-                oc.benchmark = bench.name;
-                oc.config = results.points[pending[i]];
-                predictors[i]->attachProbes(oc.scope);
-                if (options.metrics->phaseInterval > 0)
-                    oc.phase = std::make_unique<obs::PhaseRecorder>(
-                        options.metrics->phaseInterval, &oc.scope);
-                simOptions[i].metrics = &oc.scope;
-                simOptions[i].phase = oc.phase.get();
-            }
-        }
-
-        const auto start = std::chrono::steady_clock::now();
-        // Streams open through the corpus factory: recorded traces are
-        // decoded once per process and shared across shards/resumes.
-        const std::unique_ptr<BranchSource> source = TraceCorpus::open(
-            bench, options.branchesPerTrace, options.chunkBranches);
-        const std::vector<SimResult> simmed =
-            simulateMany(predictors, *source, simOptions);
-        const double elapsed =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          start)
-                .count();
-        benchSeconds[b] = elapsed;
-        benchConditionals[b] = simmed[0].conditionals;
-        if (options.metrics != nullptr) {
-            for (std::size_t i = 0; i < pending.size(); ++i) {
-                obs::CellObs &oc =
-                    options.metrics->cell(b * npoints + pending[i]);
-                oc.wallSeconds = elapsed;
-                if (oc.phase != nullptr)
-                    oc.phase->finish();
-            }
+            simmed = runBenchmarkPass(bench, specs, pass, slots);
+            benchSeconds[b] = simmed[0].seconds;
+            benchConditionals[b] = simmed[0].conditionals;
         }
 
         std::lock_guard<std::mutex> lock(journalMutex);
         for (std::size_t i = 0; i < pending.size(); ++i) {
             const std::size_t p = pending[i];
             SweepCell cell;
-            cell.spec = results.points[p];
+            cell.spec = ctx.points[p];
             cell.benchmark = bench.name;
             cell.suite = bench.suite;
-            cell.storageBits = storageBits[p];
+            cell.storageBits = ctx.storageBits[p];
             cell.mispredictions = simmed[i].mispredictions;
             cell.conditionals = simmed[i].conditionals;
             cell.instructions = simmed[i].instructions;
             const std::size_t idx = b * npoints + p;
-            rows[idx] = formatJournalRow(cell);
-            parsed[idx] = std::move(cell);
-            journal << rows[idx] << '\n';
+            matrix.rows[idx] = formatJournalRow(cell);
+            matrix.cells[idx] = std::move(cell);
+            journal << matrix.rows[idx] << '\n';
         }
         journal.flush();
         results.simulatedCells += pending.size();
         if (options.progress)
             options.progress(bench.name, pending.size());
-    };
-
-    const unsigned jobs =
-        options.jobs == 0 ? ThreadPool::hardwareThreads() : options.jobs;
-    if (jobs <= 1 || nbench <= 1) {
-        for (std::size_t b = 0; b < nbench; ++b)
-            runBenchmark(b);
-    } else {
-        ThreadPool pool(static_cast<unsigned>(
-            std::min<std::size_t>(jobs, nbench)));
-        pool.parallelFor(nbench, runBenchmark);
-    }
+    });
     journal.close();
 
     // ---- Canonical rewrite: deterministic bytes whatever the history ---
-    rewriteJournal(journal_path, meta, rows);
+    rewriteJournal(journal_path, ctx.meta, matrix.rows);
 
     // ---- Timing sidecar: scheduling data, kept OUT of the journal ------
     // One row per benchmark simulated this run, declared order.  Values
@@ -567,7 +533,7 @@ runRange(const std::vector<BenchmarkSpec> &benchmarks,
                                      "sidecar: " + options.timingSidecarPath);
     }
 
-    results.cells = std::move(parsed);
+    results.cells = std::move(matrix.cells);
     return results;
 }
 
@@ -650,16 +616,7 @@ mergeShardJournals(const std::vector<BenchmarkSpec> &benchmarks,
 
     const std::size_t npoints = ctx.points.size();
     const std::size_t nbench = benchmarks.size();
-    std::unordered_map<std::string, std::size_t> pointIndex;
-    for (std::size_t i = 0; i < npoints; ++i)
-        pointIndex.emplace(ctx.points[i], i);
-    std::unordered_map<std::string, std::size_t> benchIndex;
-    for (std::size_t i = 0; i < nbench; ++i)
-        benchIndex.emplace(benchmarks[i].name, i);
-
-    std::vector<std::string> rows(nbench * npoints);
-    std::vector<SweepCell> parsed(nbench * npoints);
-    std::vector<bool> done(nbench * npoints, false);
+    CellMatrix matrix(0, nbench, npoints);
     IncrementalPareto pareto;
 
     for (const ShardRange &range : shards) {
@@ -670,51 +627,11 @@ mergeShardJournals(const std::vector<BenchmarkSpec> &benchmarks,
                 "mergeShardJournals: missing fragment for shard " +
                 std::to_string(range.index) + ": " + fragment +
                 " (run that shard first)");
-        std::string fragmentMeta;
-        const std::vector<SweepCell> cells =
-            loadJournal(fragment, &fragmentMeta);
-        if (fragmentMeta != ctx.meta)
-            throw std::runtime_error(
-                "shard fragment " + fragment +
-                " was recorded with different options (\"" + fragmentMeta +
-                "\" vs \"" + ctx.meta + "\"); it belongs to a different "
-                "sweep");
-        for (const SweepCell &cell : cells) {
-            const auto bIt = benchIndex.find(cell.benchmark);
-            const auto pIt = pointIndex.find(cell.spec);
-            if (bIt == benchIndex.end() || pIt == pointIndex.end())
-                throw std::runtime_error(
-                    "shard fragment " + fragment +
-                    " has a row outside this sweep (" + cell.benchmark +
-                    " / " + cell.spec + ")");
-            const std::size_t b = bIt->second, p = pIt->second;
-            if (b < range.beginBench || b >= range.endBench)
-                throw std::runtime_error(
-                    "shard fragment " + fragment + " has a row outside "
-                    "its benchmark range (" + cell.benchmark +
-                    " belongs to another shard)");
-            if (cell.suite != benchmarks[b].suite)
-                throw std::runtime_error(
-                    "shard fragment " + fragment + " suite mismatch for " +
-                    cell.benchmark);
-            if (cell.storageBits != ctx.storageBits[p])
-                throw std::runtime_error(
-                    "shard fragment " + fragment + " storage mismatch "
-                    "for " + cell.spec + " (fragment " +
-                    std::to_string(cell.storageBits) +
-                    " bits, current geometry " +
-                    std::to_string(ctx.storageBits[p]) + " bits)");
-            const std::size_t idx = b * npoints + p;
-            if (done[idx])
-                throw std::runtime_error(
-                    "shard fragment " + fragment +
-                    " has a duplicate row for " + cell.benchmark + " / " +
-                    cell.spec);
-            done[idx] = true;
-            rows[idx] = formatJournalRow(cell);
-            parsed[idx] = cell;
+        for (const SweepCell &cell :
+             absorbJournal(fragment, "shard fragment " + fragment,
+                           benchmarks, ctx, range.beginBench, range.endBench,
+                           matrix))
             pareto.add(cell);
-        }
         if (on_shard)
             on_shard(range, pareto.entries());
     }
@@ -727,7 +644,7 @@ mergeShardJournals(const std::vector<BenchmarkSpec> &benchmarks,
     std::size_t firstMissingShard = 0;
     for (std::size_t b = 0; b < nbench; ++b)
         for (std::size_t p = 0; p < npoints; ++p)
-            if (!done[b * npoints + p]) {
+            if (!matrix.done[b * npoints + p]) {
                 ++missing;
                 if (firstMissing.empty()) {
                     firstMissing =
@@ -746,13 +663,13 @@ mergeShardJournals(const std::vector<BenchmarkSpec> &benchmarks,
 
     // The canonical journal: byte-identical to a single-process
     // runSweep of the same inputs.
-    rewriteJournal(options.journalPath, ctx.meta, rows);
+    rewriteJournal(options.journalPath, ctx.meta, matrix.rows);
 
     SweepResults results;
     results.points = ctx.points;
     for (const BenchmarkSpec &spec : benchmarks)
         results.benchmarks.push_back(spec.name);
-    results.cells = std::move(parsed);
+    results.cells = std::move(matrix.cells);
     results.simulatedCells = 0;  // merge only validates and rewrites
     return results;
 }

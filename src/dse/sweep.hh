@@ -4,11 +4,13 @@
  * strings) over a benchmark suite on the streaming engine, journaling
  * every (benchmark, point) cell so interrupted sweeps resume.
  *
- * Architecture note (src/dse/): scheduling is benchmark-major, exactly
- * like the suite runner — each worker task opens one benchmark's
- * BranchSource and streams it through ALL pending points in a single
- * simulateMany pass, so the trace decode/generation cost is shared
- * across points and resident memory stays O(chunk) per worker.
+ * Architecture note (src/dse/): the sweep runs the suite runner's one
+ * per-benchmark pass (runBenchmarkPass, fanned out by forEachBenchmark;
+ * src/sim/suite_runner.hh) over each benchmark's pending points, so the
+ * trace decode/generation cost is shared across points, resident memory
+ * stays O(chunk) per worker, and every cell equals the suite runner's.
+ * What the sweep adds is the pending-point selection, the journal, the
+ * progress report and the timing sidecar.
  *
  * Journal model: a metadata line fingerprinting the run options
  * (branches per trace, warm-up — everything that changes the numbers),
@@ -84,7 +86,8 @@ struct SweepOptions
 {
     std::size_t branchesPerTrace = 200000;
     std::size_t chunkBranches = 65536;
-    /** Worker threads for the benchmark fan-out; 1 = serial in-caller. */
+    /** Worker threads for the benchmark fan-out (forEachBenchmark):
+     *  1 = serial in-caller, 0 = one per hardware thread. */
     unsigned jobs = 1;
     /**
      * Run-level simulation options for every point; a point whose spec

@@ -102,19 +102,11 @@ SuiteResults::benchmarkNames() const
     return names;
 }
 
-namespace
-{
-
-/**
- * Stream one benchmark through every config in a single pass and write
- * its cells into their fixed benchmark-major slots.  The generator is
- * the only trace state alive: one chunk at a time, never a full trace.
- */
-void
-runBenchmark(const BenchmarkSpec &spec,
-             const std::vector<std::string> &configs,
-             const SuiteRunOptions &options, SuiteCell *cells,
-             obs::CellObs *obsSlice)
+std::vector<SuiteCell>
+runBenchmarkPass(const BenchmarkSpec &spec,
+                 const std::vector<std::string> &configs,
+                 const SuiteRunOptions &options,
+                 const std::vector<obs::CellObs *> &slots)
 {
     std::vector<PredictorPtr> predictors;
     std::vector<SimOptions> simOptions;
@@ -126,26 +118,22 @@ runBenchmark(const BenchmarkSpec &spec,
         // Per-config engine selection: run-level options are the base, a
         // sim.delay spec override pins the config (see applySpecDelay).
         simOptions.push_back(applySpecDelay(parsed, options.sim));
+        if (options.traceEvents != nullptr)
+            simOptions.back().traceEvents = options.traceEvents;
     }
 
     // Observation wiring, before the first predict: each cell gets its
-    // own scope slot (lock-free — this worker owns the whole slice).
-    if (obsSlice != nullptr) {
-        for (std::size_t c = 0; c < configs.size(); ++c) {
-            obs::CellObs &oc = obsSlice[c];
-            oc.benchmark = spec.name;
-            oc.config = configs[c];
-            predictors[c]->attachProbes(oc.scope);
-            if (options.metrics->phaseInterval > 0)
-                oc.phase = std::make_unique<obs::PhaseRecorder>(
-                    options.metrics->phaseInterval, &oc.scope);
-            simOptions[c].metrics = &oc.scope;
-            simOptions[c].phase = oc.phase.get();
-            simOptions[c].traceEvents = options.traceEvents;
-        }
-    } else if (options.traceEvents != nullptr) {
-        for (SimOptions &so : simOptions)
-            so.traceEvents = options.traceEvents;
+    // own scope slot (lock-free — the caller hands this pass its slots).
+    for (std::size_t c = 0; c < slots.size(); ++c) {
+        obs::CellObs &oc = *slots[c];
+        oc.benchmark = spec.name;
+        oc.config = configs[c];
+        predictors[c]->attachProbes(oc.scope);
+        if (options.metrics != nullptr && options.metrics->phaseInterval > 0)
+            oc.phase = std::make_unique<obs::PhaseRecorder>(
+                options.metrics->phaseInterval, &oc.scope);
+        simOptions[c].metrics = &oc.scope;
+        simOptions[c].phase = oc.phase.get();
     }
 
     const auto start = std::chrono::steady_clock::now();
@@ -153,7 +141,7 @@ runBenchmark(const BenchmarkSpec &spec,
     // The corpus factory: generator for synthetic specs; recorded traces
     // are decoded once per process and shared (falling back to streaming
     // file readers when oversized).  Either way the stream arrives chunk
-    // by chunk, so the memory model below is backend-independent.
+    // by chunk, so the memory model is backend-independent.
     const std::unique_ptr<BranchSource> source = TraceCorpus::open(
         spec, options.branchesPerTrace, options.chunkBranches);
     const std::vector<SimResult> results =
@@ -164,6 +152,7 @@ runBenchmark(const BenchmarkSpec &spec,
                                       start)
             .count();
 
+    std::vector<SuiteCell> cells(configs.size());
     for (std::size_t c = 0; c < configs.size(); ++c) {
         SuiteCell &cell = cells[c];
         cell.benchmark = spec.name;
@@ -174,24 +163,38 @@ runBenchmark(const BenchmarkSpec &spec,
         cell.conditionals = results[c].conditionals;
         cell.instructions = results[c].instructions;
         cell.seconds = elapsed;
-        if (obsSlice != nullptr) {
-            obsSlice[c].wallSeconds = elapsed;
-            if (obsSlice[c].phase != nullptr)
-                obsSlice[c].phase->finish();
-        }
     }
+    for (obs::CellObs *oc : slots) {
+        oc->wallSeconds = elapsed;
+        if (oc->phase != nullptr)
+            oc->phase->finish();
+    }
+    return cells;
 }
 
-} // anonymous namespace
+std::size_t
+forEachBenchmark(std::size_t count, unsigned jobs,
+                 const std::function<void(std::size_t)> &task)
+{
+    if (jobs == 0)
+        jobs = ThreadPool::hardwareThreads();
+    if (jobs <= 1 || count == 0) {
+        for (std::size_t b = 0; b < count; ++b)
+            task(b);
+        return 0;
+    }
+    // More workers than benchmarks would never get a task.
+    ThreadPool pool(
+        static_cast<unsigned>(std::min<std::size_t>(jobs, count)));
+    pool.parallelFor(count, task);
+    return pool.queueHighWater();
+}
 
 SuiteResults
 runSuite(const std::vector<BenchmarkSpec> &benchmarks,
          const std::vector<std::string> &configs,
          const SuiteRunOptions &options)
 {
-    const unsigned jobs =
-        options.jobs == 0 ? ThreadPool::hardwareThreads() : options.jobs;
-
     // Fail on a broken spec (no kernels, missing / corrupt trace file)
     // before any simulation runs, not from a worker thread mid-suite.
     for (const BenchmarkSpec &spec : benchmarks)
@@ -206,62 +209,37 @@ runSuite(const std::vector<BenchmarkSpec> &benchmarks,
     // worker ever reallocates shared storage (see MetricsRegistry).
     if (options.metrics != nullptr)
         options.metrics->resize(benchmarks.size() * nconfigs);
-    const auto obsSlice = [&](std::size_t b) -> obs::CellObs * {
-        return options.metrics == nullptr
-                   ? nullptr
-                   : &options.metrics->cell(b * nconfigs);
-    };
-
-    // The single-pass engine completes a benchmark's configs together, so
-    // progress is reported per benchmark: configs-many calls in a row.
-    const auto reportBenchmark = [&](const BenchmarkSpec &spec) {
-        for (std::size_t done = 1; done <= nconfigs; ++done)
-            options.progress(spec.name, done);
-    };
 
     if (benchmarks.empty())
         return results;
 
     const auto runStart = std::chrono::steady_clock::now();
-    const auto finish = [&]() {
-        results.wallSeconds = std::chrono::duration<double>(
-                                  std::chrono::steady_clock::now() -
-                                  runStart)
-                                  .count();
-    };
-
-    if (jobs <= 1) {
-        for (std::size_t b = 0; b < benchmarks.size(); ++b) {
-            runBenchmark(benchmarks[b], configs, options,
-                         results.cells.data() + b * nconfigs, obsSlice(b));
-            if (options.progress)
-                reportBenchmark(benchmarks[b]);
-        }
-        if (options.metrics != nullptr)
-            options.metrics->setGauge("threadpool/queue_high_water", 0.0);
-        finish();
-        return results;
-    }
-
-    // Benchmark-level fan-out: each task streams one benchmark through
-    // all configs, so at most ~jobs chunk buffers are resident at once.
-    // More workers than benchmarks would never get a task.
     std::mutex progressMutex;
-    ThreadPool pool(static_cast<unsigned>(
-        std::min<std::size_t>(jobs, benchmarks.size())));
-    pool.parallelFor(benchmarks.size(), [&](std::size_t b) {
-        runBenchmark(benchmarks[b], configs, options,
-                     results.cells.data() + b * nconfigs, obsSlice(b));
-        if (options.progress) {
-            std::lock_guard<std::mutex> lock(progressMutex);
-            reportBenchmark(benchmarks[b]);
-        }
-    });
+    const std::size_t queueHighWater = forEachBenchmark(
+        benchmarks.size(), options.jobs, [&](std::size_t b) {
+            std::vector<obs::CellObs *> slots;
+            if (options.metrics != nullptr)
+                for (std::size_t c = 0; c < nconfigs; ++c)
+                    slots.push_back(&options.metrics->cell(b * nconfigs + c));
+            std::vector<SuiteCell> cells =
+                runBenchmarkPass(benchmarks[b], configs, options, slots);
+            std::move(cells.begin(), cells.end(),
+                      results.cells.begin() + b * nconfigs);
+            // The pass completes a benchmark's configs together, so
+            // progress is reported per benchmark: configs-many calls in
+            // a row.
+            if (options.progress) {
+                std::lock_guard<std::mutex> lock(progressMutex);
+                for (std::size_t done = 1; done <= nconfigs; ++done)
+                    options.progress(benchmarks[b].name, done);
+            }
+        });
     if (options.metrics != nullptr)
-        options.metrics->setGauge(
-            "threadpool/queue_high_water",
-            static_cast<double>(pool.queueHighWater()));
-    finish();
+        options.metrics->setGauge("threadpool/queue_high_water",
+                                  static_cast<double>(queueHighWater));
+    results.wallSeconds = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - runStart)
+                              .count();
     return results;
 }
 
@@ -302,19 +280,14 @@ defaultJobs()
 void
 applyPipelineFlags(const CommandLine &cli, SimOptions &sim)
 {
-    cli.rejectValuedBool("pipeline");
-    if (cli.has("update-delay")) {
-        const std::int64_t delay = cli.getInt("update-delay");
-        if (delay < 0 ||
-            delay > static_cast<std::int64_t>(kMaxSpeculationDepth))
-            throw std::runtime_error(
-                "--update-delay: need a value in [0, " +
-                std::to_string(kMaxSpeculationDepth) + "]");
-        sim.updateDelay = static_cast<unsigned>(delay);
-        sim.pipeline = true;
-    } else if (cli.getBool("pipeline")) {
-        sim.pipeline = true;
-    }
+    if (!cli.has("update-delay"))
+        return;
+    const std::int64_t delay = cli.getInt("update-delay");
+    if (delay < 0 || delay > static_cast<std::int64_t>(kMaxSpeculationDepth))
+        throw std::runtime_error("--update-delay: need a value in [0, " +
+                                 std::to_string(kMaxSpeculationDepth) + "]");
+    sim.updateDelay = static_cast<unsigned>(delay);
+    sim.pipeline = true;
 }
 
 } // namespace imli

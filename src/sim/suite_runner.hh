@@ -4,14 +4,22 @@
  * over a benchmark suite on the streaming engine, with identical branch
  * streams across configurations for exact deltas.
  *
+ * The one per-benchmark pass: runBenchmarkPass streams one benchmark
+ * once through N specs (one simulateMany), and forEachBenchmark fans
+ * such passes out over the benchmarks.  runSuite is the two composed;
+ * the DSE sweep (src/dse/sweep.hh) runs the same pass over each
+ * benchmark's pending points, and predictor_shootout and the Section
+ * 4.3.2 sweeps (src/spec/delayed_update.hh) are runSuite calls, so
+ * engine selection, probe wiring and timing live here alone.
+ *
  * Memory model: no benchmark is ever materialized.  Each benchmark is a
  * BranchSource streamed chunk by chunk through simulateMany, so a
  * worker's resident trace memory is one chunk (options.chunkBranches
  * records, ~24 bytes each) plus a bounded backend overhang — O(chunk),
  * independent of benchmark length.  With J workers the whole run holds
- * O(chunk)·J records plus the predictor tables; the old engine held
- * O(branchesPerTrace)·J.  Stream cost (generation or file decode) is
- * paid once per benchmark, not once per (benchmark, config) cell.
+ * O(chunk)·J records plus the predictor tables.  Stream cost
+ * (generation or file decode) is paid once per benchmark, not once per
+ * (benchmark, config) cell.
  *
  * Multi-backend note: streams open through TraceCorpus::open() —
  * GeneratorBranchSource for synthetic specs (overhang: the one kernel
@@ -43,6 +51,7 @@ namespace imli
 
 namespace obs
 {
+struct CellObs;
 class MetricsRegistry;
 } // namespace obs
 
@@ -158,15 +167,47 @@ struct SuiteRunOptions
 };
 
 /**
- * Run every config (spec strings for makePredictor) over every benchmark.
- * Each benchmark is streamed exactly once — one generator pass feeds all
- * configs via simulateMany — and with jobs > 1 whole benchmarks are
- * self-scheduled across a ThreadPool, so at most jobs chunks are alive at
- * once (see the file header for the memory model).
+ * Run every config (spec strings for makePredictor) over every benchmark:
+ * forEachBenchmark over runBenchmarkPass, each pass writing its fixed
+ * benchmark-major slice of the cell matrix, so at most jobs chunks are
+ * alive at once (see the file header for the memory model).
  */
 SuiteResults runSuite(const std::vector<BenchmarkSpec> &benchmarks,
                       const std::vector<std::string> &configs,
                       const SuiteRunOptions &options = SuiteRunOptions());
+
+/**
+ * The per-benchmark pass: build one predictor per config, pin each
+ * engine through applySpecDelay over options.sim, open the stream with
+ * TraceCorpus::open and grade every config in one simulateMany.
+ * Returns one cell per config, in @p configs order; every cell's
+ * seconds is the pass's wall time (stream open to last grade).
+ * options.jobs and progress are not read here, and options.metrics only
+ * for its phase interval: the caller owns the fan-out, the progress
+ * report and the registry's slots.
+ *
+ * @p slots (empty = metrics off) holds one observation slot per config:
+ * the pass attaches the config's probes to the slot's scope before the
+ * first predict, records a phase series when options.metrics has a
+ * phase interval, and fills the slot's wall time.  A non-null
+ * options.traceEvents replaces every config's SimOptions::traceEvents.
+ */
+std::vector<SuiteCell>
+runBenchmarkPass(const BenchmarkSpec &spec,
+                 const std::vector<std::string> &configs,
+                 const SuiteRunOptions &options,
+                 const std::vector<obs::CellObs *> &slots = {});
+
+/**
+ * The benchmark fan-out: call @p task(b) for every b in [0, count).
+ * @p jobs 1 runs the tasks serially in the caller; otherwise they are
+ * self-scheduled on a ThreadPool of min(jobs, count) workers, jobs 0
+ * meaning one per hardware thread.  Tasks of different b may run
+ * concurrently, so each must write only its own slots.  Returns the
+ * pool's queue high-water mark (0 when serial).
+ */
+std::size_t forEachBenchmark(std::size_t count, unsigned jobs,
+                             const std::function<void(std::size_t)> &task);
 
 /**
  * Parse a trace-length string (shared by --branches flags and the
@@ -194,12 +235,11 @@ unsigned defaultJobs();
 class CommandLine;
 
 /**
- * Parse the shared pipeline-engine CLI flags into @p sim:
- * "--update-delay N" (strict integer, 0..kMaxSpeculationDepth; selects
+ * Parse the shared pipeline-engine CLI flag into @p sim:
+ * "--update-delay N" (strict integer, 0..kMaxSpeculationDepth) selects
  * the pipeline engine, 0 being the immediate-engine bit-identity
- * oracle) or bare "--pipeline" (delay 0).  A value glued to --pipeline
- * throws, like every other boolean mode switch.  Shared by suite_report
- * and predictor_shootout so the two CLIs cannot drift.
+ * oracle.  Shared by suite_report and predictor_shootout so the two
+ * CLIs cannot drift.
  */
 void applyPipelineFlags(const CommandLine &cli, SimOptions &sim);
 

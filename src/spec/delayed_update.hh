@@ -7,6 +7,12 @@
  * to 63 further conditional branches have been fetched — a very large
  * instruction window — the predictor loses only ~0.002 MPKI.  This module
  * sweeps the modelled delay for a host predictor over a benchmark suite.
+ *
+ * Both sweeps are one runSuite call over a grid of configs (the suite
+ * runner's shared per-benchmark pass, src/sim/suite_runner.hh): every
+ * delay point rides one streamed pass per benchmark, the benchmarks fan
+ * out over options.jobs workers, and each point is a
+ * SuiteResults::averageMpki, so the numbers are identical at any jobs.
  */
 
 #ifndef IMLI_SRC_SPEC_DELAYED_UPDATE_HH
@@ -15,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "src/sim/suite_runner.hh"
 #include "src/workloads/benchmark_spec.hh"
 
 namespace imli
@@ -32,16 +39,17 @@ struct DelayedUpdatePoint
 /**
  * Run "host+I" (host in {"tage-gsc", "gehl"}) over @p benchmarks for each
  * delay value (the spec "host+i@oh.delay=D", so each delay must lie in
- * that key's range) and return the average MPKI per point.  This is the
- * paper's original experiment: only the outer-history table write is
- * delayed (ImliOuterHistory's internal queue); everything else updates
- * immediately.
+ * that key's range) and return the average MPKI per point, per suite
+ * ("CBP4", "CBP3") and over all benchmarks.  This is the paper's
+ * original experiment: only the outer-history table write is delayed
+ * (ImliOuterHistory's internal queue); everything else updates at
+ * options.sim's engine, immediately by default.
  */
 std::vector<DelayedUpdatePoint>
 runDelayedUpdateSweep(const std::vector<BenchmarkSpec> &benchmarks,
                       const std::vector<unsigned> &delays,
                       const std::string &host,
-                      std::size_t branches_per_trace);
+                      const SuiteRunOptions &options);
 
 /**
  * One point of the full-pipeline delay sweep: the host with and without
@@ -62,15 +70,16 @@ struct PipelineDelayPoint
 /**
  * The Section 4.3.2 claim restated on the pipeline engine: sweep the
  * *whole predictor's* update delay and measure whether the IMLI benefit
- * (host vs host+I) survives commit-time update.  Every delay point of
- * both configs rides one streamed pass per benchmark; delay 0 uses the
- * pipeline engine too, so the baseline shares every code path.
+ * (host vs host+I) survives commit-time update.  The configs are
+ * "host@sim.delay=D" and "host+i@sim.delay=D", so each delay must lie in
+ * that key's range; delay 0 uses the pipeline engine too, so the
+ * baseline shares every code path.
  */
 std::vector<PipelineDelayPoint>
 runPipelineDelaySweep(const std::vector<BenchmarkSpec> &benchmarks,
                       const std::vector<unsigned> &delays,
                       const std::string &host,
-                      std::size_t branches_per_trace);
+                      const SuiteRunOptions &options);
 
 } // namespace imli
 

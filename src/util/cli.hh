@@ -102,7 +102,7 @@ class CommandLine
     bool getBool(const std::string &name, bool def = false) const;
 
     /**
-     * Guard for boolean mode switches (--csv, --json, --pipeline): a
+     * Guard for boolean mode switches (--csv, --json, --progress): a
      * non-boolean value ("--json out.json") would be silently swallowed
      * by getBool, so it throws std::runtime_error naming the flag and
      * the stray value.  No-op when the flag is absent or carries a

@@ -20,6 +20,7 @@
 #include "src/dse/param_space.hh"
 #include "src/dse/pareto.hh"
 #include "src/dse/sweep.hh"
+#include "src/obs/metrics.hh"
 #include "src/predictors/zoo.hh"
 #include "src/sim/simulator.hh"
 #include "src/sim/suite_runner.hh"
@@ -658,25 +659,98 @@ TEST(SweepJournal, ResumeAfterKillIsBitIdentical)
 TEST(SweepJournal, MatchesSuiteRunnerCellForCell)
 {
     // The sweep engine must agree bit for bit with the suite runner: both
-    // stream the same sources through simulateMany.
+    // stream the same sources through the one per-benchmark pass, at any
+    // worker count, and a sim.delay point rides the same pass on the
+    // pipeline engine.
+    const std::vector<std::string> points = {
+        "tage-gsc@tage.logsize=8", "tage-gsc@tage.logsize=9",
+        "tage-gsc@sim.delay=8,tage.logsize=8"};
+    for (unsigned jobs : {1u, 4u}) {
+        const std::string path = tmpPath("sweep_vs_suite.csv");
+        std::remove(path.c_str());
+        const SweepResults sweep =
+            runSweep(sweepBenchmarks(), points, sweepOptions(path, jobs));
+        std::remove(path.c_str());
+        ASSERT_EQ(sweep.cells.size(), 9u);
+
+        SuiteRunOptions suiteOptions;
+        suiteOptions.branchesPerTrace = 2000;
+        suiteOptions.jobs = jobs;
+        const SuiteResults suite = runSuite(sweepBenchmarks(), points,
+                                            suiteOptions);
+        for (const SweepCell &cell : sweep.cells) {
+            const SuiteCell &ref = suite.at(cell.benchmark, cell.spec);
+            EXPECT_EQ(cell.mispredictions, ref.mispredictions) << jobs;
+            EXPECT_EQ(cell.conditionals, ref.conditionals) << jobs;
+            EXPECT_EQ(cell.instructions, ref.instructions) << jobs;
+        }
+        // The delayed point really ran on the pipeline engine.
+        EXPECT_NE(suite.at("MM-4", points[2]).mispredictions,
+                  suite.at("MM-4", points[0]).mispredictions);
+    }
+}
+
+TEST(SweepJournal, MetricsRegistryIsInertAndFillsSimulatedSlots)
+{
     const std::vector<std::string> points = {
         "tage-gsc@tage.logsize=8", "tage-gsc@tage.logsize=9"};
-    const std::string path = tmpPath("sweep_vs_suite.csv");
-    std::remove(path.c_str());
-    const SweepResults sweep =
-        runSweep(sweepBenchmarks(), points, sweepOptions(path, 1));
-    std::remove(path.c_str());
+    const std::vector<BenchmarkSpec> benchmarks = sweepBenchmarks();
+    const std::size_t npoints = points.size();
+    const std::string path = tmpPath("sweep_metrics.csv");
 
-    SuiteRunOptions suiteOptions;
-    suiteOptions.branchesPerTrace = 2000;
-    const SuiteResults suite = runSuite(sweepBenchmarks(), points,
-                                        suiteOptions);
-    for (const SweepCell &cell : sweep.cells) {
-        const SuiteCell &ref = suite.at(cell.benchmark, cell.spec);
-        EXPECT_EQ(cell.mispredictions, ref.mispredictions);
-        EXPECT_EQ(cell.conditionals, ref.conditionals);
-        EXPECT_EQ(cell.instructions, ref.instructions);
+    std::remove(path.c_str());
+    runSweep(benchmarks, points, sweepOptions(path, 1));
+    const std::string reference = readFile(path);
+
+    // Fresh sweep with a registry: the same journal bytes, and every
+    // slot b * npoints + p holds that cell's identity and probes.
+    for (unsigned jobs : {1u, 4u}) {
+        std::remove(path.c_str());
+        obs::MetricsRegistry registry;
+        registry.phaseInterval = 500;
+        SweepOptions options = sweepOptions(path, jobs);
+        options.metrics = &registry;
+        runSweep(benchmarks, points, options);
+        EXPECT_EQ(readFile(path), reference) << jobs;
+        ASSERT_EQ(registry.size(), benchmarks.size() * npoints);
+        for (std::size_t b = 0; b < benchmarks.size(); ++b)
+            for (std::size_t p = 0; p < npoints; ++p) {
+                const obs::CellObs &oc = registry.cell(b * npoints + p);
+                EXPECT_EQ(oc.benchmark, benchmarks[b].name);
+                EXPECT_EQ(oc.config, points[p]);
+                EXPECT_FALSE(oc.scope.empty());
+                EXPECT_NE(oc.phase, nullptr);
+                EXPECT_GT(oc.wallSeconds, 0.0);
+            }
     }
+
+    // Resume after the last three rows were lost: only the re-simulated
+    // cells get filled slots; the resumed ones stay empty.
+    std::string partial = reference;
+    for (int i = 0; i < 3; ++i)
+        partial.erase(partial.rfind('\n', partial.size() - 2) + 1);
+    writeFile(path, partial);
+    obs::MetricsRegistry registry;
+    SweepOptions options = sweepOptions(path, 4);
+    options.metrics = &registry;
+    const SweepResults resumed = runSweep(benchmarks, points, options);
+    EXPECT_EQ(resumed.simulatedCells, 3u);
+    EXPECT_EQ(readFile(path), reference);
+    ASSERT_EQ(registry.size(), benchmarks.size() * npoints);
+    const std::size_t firstSimulated = registry.size() - 3;
+    for (std::size_t i = 0; i < registry.size(); ++i) {
+        const obs::CellObs &oc = registry.cell(i);
+        if (i < firstSimulated) {
+            EXPECT_TRUE(oc.benchmark.empty()) << i;
+            EXPECT_TRUE(oc.scope.empty()) << i;
+            EXPECT_EQ(oc.wallSeconds, 0.0) << i;
+        } else {
+            EXPECT_EQ(oc.benchmark, benchmarks[i / npoints].name) << i;
+            EXPECT_EQ(oc.config, points[i % npoints]) << i;
+            EXPECT_FALSE(oc.scope.empty()) << i;
+        }
+    }
+    std::remove(path.c_str());
 }
 
 TEST(SweepJournal, ForeignJournalsAreRejected)
