@@ -10,6 +10,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -19,7 +20,9 @@
 #include "src/core/imli_components.hh"
 #include "src/history/history_manager.hh"
 #include "src/predictors/host_speculation.hh"
+#include "src/predictors/statistical_corrector.hh"
 #include "src/predictors/tage.hh"
+#include "src/predictors/tage_gsc.hh"
 #include "src/predictors/zoo.hh"
 #include "src/sim/simulator.hh"
 #include "src/sim/suite_runner.hh"
@@ -109,6 +112,31 @@ BM_TageArenaLookup(benchmark::State &state)
     state.SetLabel("branches/s");
 }
 BENCHMARK(BM_TageArenaLookup)->Unit(benchmark::kMillisecond);
+
+static void
+BM_HistoryPush(benchmark::State &state)
+{
+    // The history layer alone: one push per trace record through a
+    // HistoryManager holding tage-gsc+i's folds (12 TAGE tables x index
+    // and two tag folds, plus the 5 GSC folds), registered by the real
+    // components so the bank has the layout a simulation runs on.
+    const TageGscPredictor::Config cfg =
+        buildTageGscConfig(parseSpec("tage-gsc+i"));
+    HistoryManager hist(host_spec::historyCapacity(
+        std::max(cfg.tage.maxHistory, cfg.gsc.maxHistory)));
+    const TagePredictor tage(cfg.tage, hist);
+    const GlobalGehlComponent gsc(cfg.gsc, hist);
+    const Trace &trace = sharedTrace();
+    for (auto _ : state) {
+        for (const BranchRecord &rec : trace.branches())
+            hist.push(rec.taken, rec.pc);
+        benchmark::DoNotOptimize(hist.history().path());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(trace.size()));
+    state.SetLabel("pushes/s");
+}
+BENCHMARK(BM_HistoryPush)->Unit(benchmark::kMillisecond);
 
 static void
 BM_PipelineCommit(benchmark::State &state)

@@ -198,7 +198,7 @@ try {
             throw std::runtime_error(
                 "--trace-events: cannot open " + path + " for writing");
         traceWriter = std::make_unique<obs::TraceEventWriter>(traceFile);
-        options.traceEvents = traceWriter.get();
+        options.sim.traceEvents = traceWriter.get();
     }
 
     const SuiteResults results = runSuite(benchmarks, configs, options);

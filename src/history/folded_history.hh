@@ -1,13 +1,15 @@
 /**
  * @file
- * Incrementally folded history registers (the TAGE/O-GEHL idiom).
+ * The reference oracle for folded history registers (the TAGE/O-GEHL
+ * idiom).
  *
  * Indexing a table with a 300-bit history requires compressing it to the
- * table's index width.  Recomputing the XOR-fold on every prediction is
- * O(length); hardware instead maintains the folded value incrementally: on
- * each new history bit, rotate the fold and XOR in the incoming bit and the
- * outgoing (aged-out) bit.  This class mirrors that structure; rollback
- * is HistoryManager's job (it snapshots fold values at each checkpoint).
+ * table's index width.  Hardware maintains each fold incrementally: on
+ * each new history bit, rotate the fold and XOR in the incoming bit and
+ * the outgoing (aged-out) bit.  The simulator's incremental folds live in
+ * HistoryManager's fold bank; this class computes the same fold from
+ * scratch, O(length), so tests can check the bank against it.  It is on
+ * no simulation path.
  */
 
 #ifndef IMLI_SRC_HISTORY_FOLDED_HISTORY_HH
@@ -21,45 +23,28 @@ namespace imli
 {
 
 /**
- * A circular-shift-register fold of the @p origLength most recent global
- * history bits into @p foldedWidth bits.
+ * A circular-shift-register fold of the @p orig_length most recent global
+ * history bits into @p folded_width bits.
  */
 class FoldedHistory
 {
   public:
-    FoldedHistory() = default;
-
     /**
      * @param orig_length history length being compressed
      * @param folded_width output width in bits (1..31)
      */
     FoldedHistory(unsigned orig_length, unsigned folded_width);
 
-    /**
-     * Incorporate the newest history bit; @p outgoing is the bit that just
-     * aged out of the window (history position orig_length before push).
-     */
-    void update(bool incoming, bool outgoing);
-
-    /** Current folded value. */
+    /** Folded value as of the last recompute(). */
     std::uint32_t value() const { return folded; }
 
-    /**
-     * Recompute from scratch against @p hist (the reference the
-     * incremental value is checked against; O(origLength)).
-     */
+    /** Recompute from scratch against @p hist (O(orig_length)). */
     void recompute(const GlobalHistory &hist);
 
-    unsigned origLength() const { return length; }
-    unsigned foldedWidth() const { return width; }
-
   private:
-    friend class HistoryManager; //!< restores snapshotted values
-
     std::uint32_t folded = 0;
-    unsigned length = 0;       //!< compressed history length
-    unsigned width = 1;        //!< output width
-    unsigned outPoint = 0;     //!< position of the aged-out bit in the fold
+    unsigned length;
+    unsigned width;
 };
 
 } // namespace imli

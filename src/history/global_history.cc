@@ -22,15 +22,6 @@ GlobalHistory::push(bool taken, std::uint64_t pc)
     pathHist = (pathHist << 3) ^ ((pc >> 1) & 0x7);
 }
 
-bool
-GlobalHistory::bit(unsigned age) const
-{
-    assert(age < buffer.size());
-    if (age >= head)
-        return false; // before the start of the trace
-    return buffer[(head - 1 - age) & mask] != 0;
-}
-
 std::uint64_t
 GlobalHistory::recent(unsigned length) const
 {

@@ -18,6 +18,7 @@
 #ifndef IMLI_SRC_HISTORY_GLOBAL_HISTORY_HH
 #define IMLI_SRC_HISTORY_GLOBAL_HISTORY_HH
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -38,13 +39,20 @@ class GlobalHistory
     /** Append one outcome (and path bits) at the speculative head. */
     void push(bool taken, std::uint64_t pc);
 
-    /** Logical history bit @p age ago (0 = most recent). */
-    bool bit(unsigned age) const;
+    /**
+     * Logical history bit @p age ago (0 = most recent); false before the
+     * start of the trace.
+     */
+    bool bit(unsigned age) const
+    {
+        assert(age < buffer.size());
+        return age < head && buffer[(head - 1 - age) & mask] != 0;
+    }
 
     /**
      * Pack the @p length most recent bits into a word (bit 0 = most
      * recent).  @p length must be <= 64; longer histories are consumed
-     * through FoldedHistory instead.
+     * through HistoryManager's fold bank instead.
      */
     std::uint64_t recent(unsigned length) const;
 

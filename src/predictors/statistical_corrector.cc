@@ -59,7 +59,7 @@ BiasComponent::account(StorageAccount &acct) const
 
 GlobalGehlComponent::GlobalGehlComponent(const Config &config,
                                          HistoryManager &hist)
-    : cfg(config)
+    : cfg(config), histMgr(hist)
 {
     assert(cfg.numTables >= 1);
     if (cfg.minHistory == 0) {
@@ -76,7 +76,7 @@ GlobalGehlComponent::GlobalGehlComponent(const Config &config,
                                    cfg.maxHistory);
     }
 
-    folds.resize(cfg.numTables, nullptr);
+    folds.resize(cfg.numTables, -1);
     for (unsigned i = 0; i < cfg.numTables; ++i) {
         if (lengths[i] > 0)
             folds[i] = hist.createFold(lengths[i], cfg.logEntries);
@@ -89,9 +89,10 @@ unsigned
 GlobalGehlComponent::index(unsigned table, const ScContext &ctx) const
 {
     std::uint64_t raw = (ctx.pc >> 1) ^ ((ctx.pc >> 1) >> (table + 2));
-    if (folds[table] != nullptr)
-        raw ^= folds[table]->value() ^
-               (static_cast<std::uint64_t>(folds[table]->value()) << 2);
+    if (folds[table] >= 0) {
+        const std::uint64_t fold = histMgr.foldValue(folds[table]);
+        raw ^= fold ^ (fold << 2);
+    }
     const bool imli_indexed =
         cfg.imliIndexTables > 0 &&
         table >= cfg.numTables - cfg.imliIndexTables;

@@ -103,8 +103,9 @@ class GlobalGehlComponent : public ScComponent
     unsigned index(unsigned table, const ScContext &ctx) const;
 
     Config cfg;
+    const HistoryManager &histMgr;
     std::vector<unsigned> lengths;
-    std::vector<FoldedHistory *> folds; //!< nullptr for the L=0 table
+    std::vector<int> folds; //!< bank fold ids; -1 for the L=0 table
     TableArena<SignedCounter> tables; //!< one allocation, all tables
 };
 

@@ -78,17 +78,17 @@ TagePredictor::tableIndex(unsigned table, std::uint64_t pc) const
                                                        : 16)),
                  cfg.logEntries);
     const std::uint64_t raw = (pc >> 1) ^ ((pc >> 1) >> (table + 1)) ^
-                              indexFolds[table]->value() ^ path_bits;
+                              histMgr.foldValue(indexFolds[table]) ^ path_bits;
     return static_cast<unsigned>(raw & maskBits(cfg.logEntries));
 }
 
 std::uint16_t
 TagePredictor::tableTag(unsigned table, std::uint64_t pc) const
 {
-    const std::uint64_t raw = (pc >> 1) ^ tagFolds1[table]->value() ^
-                              (static_cast<std::uint64_t>(
-                                   tagFolds2[table]->value())
-                               << 1);
+    const std::uint64_t raw =
+        (pc >> 1) ^ histMgr.foldValue(tagFolds1[table]) ^
+        (static_cast<std::uint64_t>(histMgr.foldValue(tagFolds2[table]))
+         << 1);
     return static_cast<std::uint16_t>(raw & maskBits(tagBits(table)));
 }
 

@@ -141,10 +141,10 @@ class TagePredictor
     TableArena<Entry> tables;
     BimodalPredictor base;
 
-    // Per-table folded histories (owned by the HistoryManager).
-    std::vector<FoldedHistory *> indexFolds;
-    std::vector<FoldedHistory *> tagFolds1;
-    std::vector<FoldedHistory *> tagFolds2;
+    // Per-table fold ids in the HistoryManager's bank.
+    std::vector<int> indexFolds;
+    std::vector<int> tagFolds1;
+    std::vector<int> tagFolds2;
 
     // "use alt on newly allocated" arbitration counters.
     std::vector<std::int8_t> useAltOnNa;

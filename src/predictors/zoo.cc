@@ -244,15 +244,13 @@ keyTable()
          +[](HostCfg &c, long long v) { c.imli.oh.logEntries = unsigned(v); }},
         {{"oh.weight", 1, 8, false, "IMLI-OH vote weight"},
          +[](HostCfg &c, long long v) { c.imli.oh.weight = int(v); }},
-        {{"outer.bits", 64, 65536, true,
-          "outer-history table bits (power of two)"},
+        {{"outer.bits", 64, 65536, true, "outer-history table bits"},
          +[](HostCfg &c, long long v) { c.imli.outer.tableBits = unsigned(v); }},
         {{"outer.iterlog", 2, 10, false,
           "log2 iteration slots per branch in the outer history"},
          +[](HostCfg &c, long long v) { c.imli.outer.iterBitsLog = unsigned(v); }},
         // The PIPE checkpoint packs into 32 bits, so 32 is a hard cap.
-        {{"outer.pipe", 4, 32, true,
-          "PIPE vector width (power of two, checkpoint-limited)"},
+        {{"outer.pipe", 4, 32, true, "PIPE vector width (checkpoint-limited)"},
          +[](HostCfg &c, long long v) { c.imli.outer.pipeEntries = unsigned(v); }},
         {{"sic.ctrbits", 1, 8, false, "IMLI-SIC counter width (bits)"},
          +[](HostCfg &c, long long v) { c.imli.sic.counterBits = unsigned(v); }},

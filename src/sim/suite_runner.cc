@@ -118,8 +118,6 @@ runBenchmarkPass(const BenchmarkSpec &spec,
         // Per-config engine selection: run-level options are the base, a
         // sim.delay spec override pins the config (see applySpecDelay).
         simOptions.push_back(applySpecDelay(parsed, options.sim));
-        if (options.traceEvents != nullptr)
-            simOptions.back().traceEvents = options.traceEvents;
     }
 
     // Observation wiring, before the first predict: each cell gets its

@@ -135,7 +135,9 @@ struct SuiteRunOptions
      * stream from grading, per the CBP methodology note in simulator.hh.
      * A config whose spec carries a "sim.delay" override runs on the
      * pipeline engine at that depth regardless of these options, so one
-     * suite can mix update-timing points.
+     * suite can mix update-timing points.  sim.traceEvents goes to every
+     * cell, so callers restrict the run to one cell before setting it —
+     * interleaved cells would share the one stream.
      */
     SimOptions sim;
     /**
@@ -157,13 +159,6 @@ struct SuiteRunOptions
      * collection is lock-free and export order is deterministic.
      */
     obs::MetricsRegistry *metrics = nullptr;
-    /**
-     * Trace-event stream handed to every cell's simulation (pipeline
-     * engine only; the immediate engine emits no events).  Callers
-     * restrict runs to one cell before setting this — interleaved cells
-     * would share the one stream.
-     */
-    obs::TraceEventWriter *traceEvents = nullptr;
 };
 
 /**
@@ -189,8 +184,7 @@ SuiteResults runSuite(const std::vector<BenchmarkSpec> &benchmarks,
  * @p slots (empty = metrics off) holds one observation slot per config:
  * the pass attaches the config's probes to the slot's scope before the
  * first predict, records a phase series when options.metrics has a
- * phase interval, and fills the slot's wall time.  A non-null
- * options.traceEvents replaces every config's SimOptions::traceEvents.
+ * phase interval, and fills the slot's wall time.
  */
 std::vector<SuiteCell>
 runBenchmarkPass(const BenchmarkSpec &spec,

@@ -8,6 +8,7 @@
 
 #include <stdexcept>
 #include <tuple>
+#include <vector>
 
 #include "src/history/folded_history.hh"
 #include "src/history/global_history.hh"
@@ -85,7 +86,8 @@ TEST(GlobalHistory, PathHistoryTracksPcBits)
 }
 
 // ---------------------------------------------------------------------------
-// FoldedHistory: the incremental fold must equal the from-scratch fold.
+// Fold bank vs FoldedHistory: every incremental fold must equal the
+// from-scratch fold.
 // ---------------------------------------------------------------------------
 
 class FoldedHistoryProperty
@@ -96,20 +98,17 @@ class FoldedHistoryProperty
 TEST_P(FoldedHistoryProperty, IncrementalMatchesRecompute)
 {
     const auto [length, width] = GetParam();
-    GlobalHistory hist(2048);
-    FoldedHistory fold(length, width);
+    HistoryManager mgr(2048);
+    const int fold = mgr.createFold(length, width);
     Xoroshiro128 rng(length * 131 + width);
 
     for (int i = 0; i < 3000; ++i) {
-        const bool bit = rng.bernoulli(0.5);
-        // Incremental update consumes the outgoing bit before the push.
-        fold.update(bit, hist.bit(length - 1));
-        hist.push(bit, 0x40 + 2 * (i & 0xff));
+        mgr.push(rng.bernoulli(0.5), 0x40 + 2 * (i & 0xff));
 
         if (i % 97 == 0) {
             FoldedHistory ref(length, width);
-            ref.recompute(hist);
-            ASSERT_EQ(fold.value(), ref.value())
+            ref.recompute(mgr.history());
+            ASSERT_EQ(mgr.foldValue(fold), ref.value())
                 << "diverged at step " << i << " (L=" << length
                 << ", W=" << width << ")";
         }
@@ -126,13 +125,99 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(FoldedHistory, ValueStaysInWidth)
 {
-    GlobalHistory hist(1024);
-    FoldedHistory fold(100, 9);
+    HistoryManager mgr(1024);
+    const int fold = mgr.createFold(100, 9);
     Xoroshiro128 rng(5);
     for (int i = 0; i < 500; ++i) {
-        fold.update(rng.bernoulli(0.7), hist.bit(99));
-        hist.push(rng.bernoulli(0.7), 0x10);
-        ASSERT_LT(fold.value(), 1u << 9);
+        mgr.push(rng.bernoulli(0.7), 0x10);
+        ASSERT_LT(mgr.foldValue(fold), 1u << 9);
+    }
+}
+
+namespace
+{
+
+struct FoldGeometry
+{
+    unsigned length;
+    unsigned width;
+};
+
+/** Assert every bank fold equals its from-scratch recompute. */
+void
+expectBankMatchesRecompute(const HistoryManager &mgr,
+                           const std::vector<int> &ids,
+                           const std::vector<FoldGeometry> &geometry,
+                           const char *where)
+{
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+        FoldedHistory ref(geometry[i].length, geometry[i].width);
+        ref.recompute(mgr.history());
+        ASSERT_EQ(mgr.foldValue(ids[i]), ref.value())
+            << where << ": fold " << i << " (L=" << geometry[i].length
+            << ", W=" << geometry[i].width << ") at head "
+            << mgr.history().headPointer();
+    }
+}
+
+} // anonymous namespace
+
+TEST(FoldBank, EveryFoldMatchesRecomputeAcrossSaveRestore)
+{
+    // One bank holding the awkward geometries together: one length
+    // registered non-adjacently (37 at ids 0, 3 and 8), width 1 and 31,
+    // length < width, length 1, and the longest length the capacity
+    // allows for the deepest rewind below (a backward restore of d
+    // positions followed by pushes needs length + d <= capacity, or the
+    // outgoing bit was overwritten by the squashed future).
+    constexpr unsigned kCapacity = 1024;
+    constexpr unsigned kMaxRewind = 64;
+    const std::vector<FoldGeometry> geometry = {
+        {37, 9},  {200, 11}, {5, 12},  {37, 1},  {1, 7},
+        {64, 31}, {kCapacity - kMaxRewind, 10}, {1, 1}, {37, 31},
+        {3, 31},  {200, 5}};
+    HistoryManager mgr(kCapacity);
+    std::vector<int> ids;
+    for (const FoldGeometry &g : geometry)
+        ids.push_back(mgr.createFold(g.length, g.width));
+    mgr.prepare(kMaxRewind);
+    Xoroshiro128 rng(73);
+
+    // Random pushes, past the point where every window is full.
+    for (unsigned i = 0; i < 3 * kCapacity; ++i) {
+        mgr.push(rng.bernoulli(0.5), 0x100 + 2 * (i & 0x7f));
+        if (i % 61 == 0)
+            expectBankMatchesRecompute(mgr, ids, geometry, "push");
+    }
+
+    for (int round = 0; round < 40; ++round) {
+        // Checkpoint every position of a speculative run, as the
+        // pipeline does at each fetch.
+        const unsigned depth = 1 + rng.below(kMaxRewind - 1);
+        std::vector<GlobalHistory::Checkpoint> cps{mgr.save()};
+        std::vector<bool> bits;
+        for (unsigned i = 0; i < depth; ++i) {
+            bits.push_back(rng.bernoulli(0.5));
+            mgr.push(bits.back(), 0x200 + 2 * i);
+            cps.push_back(mgr.save());
+        }
+        expectBankMatchesRecompute(mgr, ids, geometry, "front");
+
+        // Backward restore to a random point, then forward to the front
+        // after re-pushing the same bit (the correct-prediction commit).
+        const unsigned back = rng.below(depth);
+        mgr.restore(cps[back]);
+        expectBankMatchesRecompute(mgr, ids, geometry, "backward");
+        mgr.push(bits[back], 0x200 + 2 * back);
+        expectBankMatchesRecompute(mgr, ids, geometry, "replay");
+        mgr.restore(cps.back());
+        expectBankMatchesRecompute(mgr, ids, geometry, "forward");
+
+        // Squash: rewind and push a different future, then keep going.
+        mgr.restore(cps[back]);
+        for (unsigned i = 0; i < depth; ++i)
+            mgr.push(rng.bernoulli(0.5), 0x300 + 2 * i);
+        expectBankMatchesRecompute(mgr, ids, geometry, "squash");
     }
 }
 
@@ -143,8 +228,8 @@ TEST(FoldedHistory, ValueStaysInWidth)
 TEST(HistoryManager, KeepsFoldsCoherent)
 {
     HistoryManager mgr(2048);
-    FoldedHistory *f1 = mgr.createFold(37, 9);
-    FoldedHistory *f2 = mgr.createFold(200, 11);
+    const int f1 = mgr.createFold(37, 9);
+    const int f2 = mgr.createFold(200, 11);
     Xoroshiro128 rng(17);
     for (int i = 0; i < 2000; ++i)
         mgr.push(rng.bernoulli(0.5), 0x100 + 2 * (i & 0x3f));
@@ -152,24 +237,24 @@ TEST(HistoryManager, KeepsFoldsCoherent)
     FoldedHistory ref1(37, 9), ref2(200, 11);
     ref1.recompute(mgr.history());
     ref2.recompute(mgr.history());
-    EXPECT_EQ(f1->value(), ref1.value());
-    EXPECT_EQ(f2->value(), ref2.value());
+    EXPECT_EQ(mgr.foldValue(f1), ref1.value());
+    EXPECT_EQ(mgr.foldValue(f2), ref2.value());
 }
 
 TEST(HistoryManager, RestoreRecomputesFolds)
 {
     HistoryManager mgr(2048);
-    FoldedHistory *fold = mgr.createFold(50, 10);
+    const int fold = mgr.createFold(50, 10);
     Xoroshiro128 rng(23);
     for (int i = 0; i < 500; ++i)
         mgr.push(rng.bernoulli(0.5), 0x10);
 
     const auto cp = mgr.save();
-    const std::uint32_t value = fold->value();
+    const std::uint32_t value = mgr.foldValue(fold);
     for (int i = 0; i < 100; ++i)
         mgr.push(true, 0x20);
     mgr.restore(cp);
-    EXPECT_EQ(fold->value(), value);
+    EXPECT_EQ(mgr.foldValue(fold), value);
 }
 
 TEST(HistoryManager, RestoreMatchesRecompute)
@@ -178,28 +263,28 @@ TEST(HistoryManager, RestoreMatchesRecompute)
     // must land on exactly the recompute() values at the restored head,
     // for short and long rewind distances alike.
     HistoryManager mgr(4096);
-    FoldedHistory *f1 = mgr.createFold(37, 9);
-    FoldedHistory *f2 = mgr.createFold(301, 12);
-    FoldedHistory *f3 = mgr.createFold(640, 10);
+    const int f1 = mgr.createFold(37, 9);
+    const int f2 = mgr.createFold(301, 12);
+    const int f3 = mgr.createFold(640, 10);
     Xoroshiro128 rng(41);
     for (int i = 0; i < 1500; ++i)
         mgr.push(rng.bernoulli(0.6), 0x100 + 2 * (i & 0x7f));
 
     for (const int distance : {1, 2, 17, 100, 1000}) {
         const auto cp = mgr.save();
-        const std::uint32_t v1 = f1->value();
-        const std::uint32_t v2 = f2->value();
-        const std::uint32_t v3 = f3->value();
+        const std::uint32_t v1 = mgr.foldValue(f1);
+        const std::uint32_t v2 = mgr.foldValue(f2);
+        const std::uint32_t v3 = mgr.foldValue(f3);
         for (int i = 0; i < distance; ++i)
             mgr.push(rng.bernoulli(0.3), 0x40 + 2 * (i & 0x3f));
         mgr.restore(cp);
-        ASSERT_EQ(f1->value(), v1) << "distance " << distance;
-        ASSERT_EQ(f2->value(), v2) << "distance " << distance;
-        ASSERT_EQ(f3->value(), v3) << "distance " << distance;
+        ASSERT_EQ(mgr.foldValue(f1), v1) << "distance " << distance;
+        ASSERT_EQ(mgr.foldValue(f2), v2) << "distance " << distance;
+        ASSERT_EQ(mgr.foldValue(f3), v3) << "distance " << distance;
 
         FoldedHistory ref(301, 12);
         ref.recompute(mgr.history());
-        ASSERT_EQ(f2->value(), ref.value()) << "distance " << distance;
+        ASSERT_EQ(mgr.foldValue(f2), ref.value()) << "distance " << distance;
     }
 }
 
@@ -209,7 +294,7 @@ TEST(HistoryManager, ForwardRestoreReturnsToTheFuture)
     // then restores *forward* to the fetch front; as long as the buffer
     // bits were not overwritten, the folds must come back bit-exact.
     HistoryManager mgr(2048);
-    FoldedHistory *fold = mgr.createFold(130, 11);
+    const int fold = mgr.createFold(130, 11);
     Xoroshiro128 rng(59);
     for (int i = 0; i < 700; ++i)
         mgr.push(rng.bernoulli(0.5), 0x10 + 2 * (i & 0x1f));
@@ -222,7 +307,7 @@ TEST(HistoryManager, ForwardRestoreReturnsToTheFuture)
         mgr.push(b, 0x200 + 2 * i);
     }
     const auto front = mgr.save();
-    const std::uint32_t frontValue = fold->value();
+    const std::uint32_t frontValue = mgr.foldValue(fold);
 
     mgr.restore(past);
     // Re-pushing the identical bits leaves the buffer unchanged, which is
@@ -230,7 +315,7 @@ TEST(HistoryManager, ForwardRestoreReturnsToTheFuture)
     mgr.push(bits[0], 0x200);
     mgr.restore(front);
     EXPECT_EQ(mgr.history().headPointer(), front.head);
-    EXPECT_EQ(fold->value(), frontValue);
+    EXPECT_EQ(mgr.foldValue(fold), frontValue);
 }
 
 TEST(HistoryManager, PreparedRingKeepsTheDeepestCheckpoint)
@@ -241,8 +326,8 @@ TEST(HistoryManager, PreparedRingKeepsTheDeepestCheckpoint)
     // slots, so one more save evicts it.
     constexpr unsigned kInflight = 62;
     HistoryManager mgr(4096);
-    FoldedHistory *f1 = mgr.createFold(37, 9);
-    FoldedHistory *f2 = mgr.createFold(640, 10);
+    const int f1 = mgr.createFold(37, 9);
+    const int f2 = mgr.createFold(640, 10);
     mgr.prepare(kInflight);
     Xoroshiro128 rng(67);
     for (int i = 0; i < 900; ++i)
@@ -259,8 +344,8 @@ TEST(HistoryManager, PreparedRingKeepsTheDeepestCheckpoint)
     const auto front = mgr.save();
     mgr.restore(oldest);
     EXPECT_EQ(mgr.history().headPointer(), oldest.head);
-    EXPECT_EQ(f1->value(), ref1.value());
-    EXPECT_EQ(f2->value(), ref2.value());
+    EXPECT_EQ(mgr.foldValue(f1), ref1.value());
+    EXPECT_EQ(mgr.foldValue(f2), ref2.value());
 
     mgr.restore(front);
     mgr.push(true, 0x500);
