@@ -18,7 +18,7 @@ using namespace imli::bench;
 int
 main(int argc, char **argv)
 {
-    const BenchArgs args(argc, argv);
+    const BenchArgs args(argc, argv, BenchArgs::BranchesOnly);
     const std::vector<std::string> names = {"SPEC2K6-04", "SPEC2K6-12",
                                             "WS04", "MM07", "SERVER-5",
                                             "MM-2"};

@@ -42,7 +42,7 @@ runConfig(const Trace &trace, unsigned table_bits, bool use_pipe)
 int
 main(int argc, char **argv)
 {
-    const BenchArgs args(argc, argv);
+    const BenchArgs args(argc, argv, BenchArgs::BranchesOnly);
     const std::vector<std::string> names = {"SPEC2K6-12", "CLIENT02",
                                             "MM07", "WS03", "MM-4"};
     const std::vector<unsigned> table_sizes = {256, 512, 1024, 2048,

@@ -3,15 +3,16 @@
  * Shared plumbing for the experiment benches: CLI handling, suite
  * execution and the standard "paper vs measured" output blocks.
  *
- * Every bench accepts:
+ * Every bench accepts
  *   --branches N   trace length per benchmark (default 200000, or the
  *                  IMLI_BRANCHES environment variable)
+ * and, when it declares them (BenchArgs::Flag):
  *   --csv          dump the raw per-benchmark cells as CSV and exit
  *   --jobs N       suite-runner worker threads (default 1, or the
  *                  IMLI_JOBS environment variable; 0/auto = all hardware
  *                  threads).  Results are bit-identical at any N.
- * and rejects every other flag, except --recorded DIR on the benches
- * that read it.
+ *   --recorded DIR add the recorded scenarios under DIR to the pool
+ * Every other flag, an undeclared one included, exits 1.
  */
 
 #ifndef IMLI_BENCH_BENCH_COMMON_HH
@@ -35,18 +36,28 @@ namespace imli::bench
 {
 
 /**
- * Parse the standard bench flags.  Any other flag exits 1 naming it
- * (a typo must not run the default experiment); --recorded DIR is read
- * only by the benches that construct with reads_recorded.
+ * Parse the bench flags.  --branches is always read; the optional flags
+ * are read only when the bench declares them in @p reads.  Any flag not
+ * read exits 1 naming it: a typo, or a flag this bench would ignore,
+ * must not run the default experiment.
  */
 struct BenchArgs
 {
+    /** Optional flags a bench reads; OR them into the constructor's set. */
+    enum Flag : unsigned
+    {
+        BranchesOnly = 0,
+        Csv = 1u << 0,
+        Jobs = 1u << 1,
+        Recorded = 1u << 2,
+    };
+
     std::size_t branches;
-    bool csv;
-    unsigned jobs;
+    bool csv = false;
+    unsigned jobs = 1;
     std::string recorded;  //!< --recorded DIR ("" = generated suite only)
 
-    BenchArgs(int argc, char **argv, bool reads_recorded = false)
+    BenchArgs(int argc, char **argv, unsigned reads)
     {
         try {
             CommandLine cli(argc, argv);
@@ -57,12 +68,13 @@ struct BenchArgs
                            ? parseBranchCount(cli.getString("branches"),
                                               "--branches")
                            : defaultBranchesPerTrace();
-            csv = cli.getBool("csv");
-            jobs = cli.has("jobs")
-                       ? ThreadPool::parseJobsStrict(cli.getString("jobs"),
-                                                     "--jobs")
-                       : defaultJobs();
-            if (reads_recorded)
+            if (reads & Csv)
+                csv = cli.getBool("csv");
+            if (reads & Jobs)
+                jobs = cli.has("jobs") ? ThreadPool::parseJobsStrict(
+                                             cli.getString("jobs"), "--jobs")
+                                       : defaultJobs();
+            if (reads & Recorded)
                 recorded = cli.getString("recorded", "");
             cli.rejectUnreadFlags();
         } catch (const std::exception &e) {

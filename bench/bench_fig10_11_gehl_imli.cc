@@ -15,7 +15,7 @@ using namespace imli::bench;
 int
 main(int argc, char **argv)
 {
-    const BenchArgs args(argc, argv);
+    const BenchArgs args(argc, argv, BenchArgs::Csv | BenchArgs::Jobs);
     const std::vector<std::string> configs = {"gehl", "gehl+sic", "gehl+i"};
 
     const SuiteResults results = runFullSuite(configs, args);

@@ -18,7 +18,7 @@ using namespace imli::bench;
 int
 main(int argc, char **argv)
 {
-    const BenchArgs args(argc, argv);
+    const BenchArgs args(argc, argv, BenchArgs::Csv | BenchArgs::Jobs);
     const std::vector<std::string> configs = {"gehl", "gehl+wh", "gehl+oh",
                                               "gehl+i"};
 

@@ -45,7 +45,7 @@ printFigure(const std::string &title, const SuiteResults &results,
 int
 main(int argc, char **argv)
 {
-    const BenchArgs args(argc, argv);
+    const BenchArgs args(argc, argv, BenchArgs::Csv | BenchArgs::Jobs);
     const std::vector<std::string> configs = {
         "tage-gsc", "tage-gsc+l", "tage-gsc+i", "tage-gsc+i+l",
         "gehl",     "gehl+l",     "gehl+i",     "gehl+i+l"};

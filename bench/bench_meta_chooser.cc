@@ -53,7 +53,9 @@ markedEntries(const SuiteResults &results,
 int
 main(int argc, char **argv)
 {
-    const BenchArgs args(argc, argv, /*reads_recorded=*/true);
+    const BenchArgs args(argc, argv,
+                         BenchArgs::Csv | BenchArgs::Jobs |
+                             BenchArgs::Recorded);
 
     const std::string base = "tage-gsc";
     const std::string pool3 = "tage-gsc,gehl,gshare";

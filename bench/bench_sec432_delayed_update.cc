@@ -29,7 +29,7 @@ using namespace imli::bench;
 int
 main(int argc, char **argv)
 {
-    const BenchArgs args(argc, argv);
+    const BenchArgs args(argc, argv, BenchArgs::Jobs);
     const std::vector<unsigned> delays = {0, 1, 4, 16, 63};
 
     for (const std::string host : {"tage-gsc", "gehl"}) {

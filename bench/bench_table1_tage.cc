@@ -18,7 +18,7 @@ using namespace imli::bench;
 int
 main(int argc, char **argv)
 {
-    const BenchArgs args(argc, argv);
+    const BenchArgs args(argc, argv, BenchArgs::Csv | BenchArgs::Jobs);
     const std::vector<std::string> configs = {
         "tage-gsc", "tage-gsc+l", "tage-gsc+i", "tage-gsc+i+l"};
 

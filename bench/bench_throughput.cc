@@ -26,7 +26,6 @@
 #include "src/predictors/zoo.hh"
 #include "src/sim/simulator.hh"
 #include "src/sim/suite_runner.hh"
-#include "src/spec/checkpoint.hh"
 #include "src/trace/cbp_reader.hh"
 #include "src/util/thread_pool.hh"
 #include "src/workloads/generator_source.hh"
@@ -203,21 +202,6 @@ BM_ImliCheckpointRoundTrip(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_ImliCheckpointRoundTrip);
-
-static void
-BM_SpeculativeModel(benchmark::State &state)
-{
-    SpeculativeImliModel spec;
-    std::uint64_t i = 0;
-    for (auto _ : state) {
-        const bool actual = (i % 3) != 0;
-        const bool predicted = (i % 7) != 0 ? actual : !actual;
-        spec.onBranch(0x400020, 0x400000, predicted, actual);
-        ++i;
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_SpeculativeModel);
 
 static void
 BM_SuiteRunner(benchmark::State &state)

@@ -71,8 +71,8 @@ class ImliComponents
      * exactly onResolved() with @p dir the *predicted* direction, minus
      * the outer-history table write — the PIPE transfer and the counter
      * heuristic are the checkpointed speculative half, the table write is
-     * deferred to the commit-time onResolved().  Mirrors
-     * SpeculativeImliModel::specStep so the two models cannot drift.
+     * deferred to the commit-time onResolved().  save()/restore() of
+     * exactly this state is the pipeline engine's IMLI checkpoint.
      */
     void speculate(std::uint64_t pc, std::uint64_t target, bool dir);
 

@@ -10,7 +10,6 @@
  * management is the paper's central hardware argument.
  *
  * In immediate-update simulation only the speculative head moves; the
- * spec/ module exercises the two-pointer protocol explicitly, and the
  * pipeline simulator (src/sim/pipeline_simulator.hh) drives checkpoint /
  * restore per in-flight branch as hardware would.
  */

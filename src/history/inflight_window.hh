@@ -9,9 +9,10 @@
  * recent in-flight speculative history must be used instead of the table
  * contents.  That requires (a) storing the history alongside every
  * in-flight branch and (b) an associative search per fetch.  This class
- * implements that structure and counts its costs, so the library can put
- * numbers behind the paper's complexity argument (bench_sec44_storage and
- * the spec/ fetch model).
+ * implements that structure and counts its costs; LocalComponent reads
+ * speculative local history through it on the pipeline engine, and its
+ * local/window_compares probe puts numbers behind the paper's complexity
+ * argument (bench_sec44_storage).
  */
 
 #ifndef IMLI_SRC_HISTORY_INFLIGHT_WINDOW_HH

@@ -173,6 +173,8 @@ CompositeHost::attachProbes(obs::MetricsScope &scope)
 {
     if (comp.enableImli)
         imliComps.attachProbes(scope);
+    if (local != nullptr)
+        local->attachProbes(scope);
     if (loopPred != nullptr)
         loopPred->attachProbes(scope);
     if (ittageLoop != nullptr)

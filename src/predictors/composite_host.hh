@@ -49,6 +49,7 @@
 #include "src/predictors/predictor.hh"
 #include "src/predictors/statistical_corrector.hh"
 #include "src/predictors/wormhole.hh"
+#include "src/util/hashing.hh"
 
 namespace imli
 {
@@ -123,13 +124,19 @@ class CompositeHost : public ConditionalPredictor
     StorageAccount storage() const final;
 
     /**
-     * Shared-component probe registration (loop / ITTAGE-loop / IMLI),
-     * then the core's own probes via attachProbesHost().
+     * Shared-component probe registration (IMLI / local / loop /
+     * ITTAGE-loop), then the core's own probes via attachProbesHost().
      */
     void attachProbes(obs::MetricsScope &scope) final;
 
     /** IMLI state access for experiments (delay sweeps, checkpoints). */
     ImliComponents &imliState() { return imliComps; }
+
+    /** Width of the global-history head pointer a checkpoint carries. */
+    unsigned headPointerBits() const
+    {
+        return ceilLog2(histMgr.history().capacityBits());
+    }
 
   protected:
     /**

@@ -81,10 +81,20 @@ LocalComponent::speculate(std::uint64_t pc, bool pred_taken)
     assert(window != nullptr &&
            "speculate() requires enableSpeculation() first");
     ticketHorizon = UINT64_MAX; // speculation happens at the fetch front
+    const std::uint64_t searched = window->entriesSearched();
     const std::uint64_t next =
         ((specHistory(pc) << 1) | (pred_taken ? 1u : 0u)) &
         maskBits(cfg.historyBits);
+    obsSearches.hit();
+    obsCompares.add(window->entriesSearched() - searched);
     window->insert(histories.index(pc), next);
+}
+
+void
+LocalComponent::attachProbes(obs::MetricsScope &scope)
+{
+    obsSearches.slot = scope.counter("local/window_searches");
+    obsCompares.slot = scope.counter("local/window_compares");
 }
 
 void

@@ -21,6 +21,7 @@
 
 #include "src/history/inflight_window.hh"
 #include "src/history/local_history.hh"
+#include "src/obs/metrics.hh"
 #include "src/predictors/sc_component.hh"
 #include "src/util/arena.hh"
 #include "src/util/counters.hh"
@@ -64,9 +65,8 @@ class LocalComponent : public ScComponent
     // (Section 2.3.2): the table is written at commit only, so fetch must
     // associatively search the window of in-flight branches for a younger
     // speculative history of the same entry.  Enabled, the InflightWindow
-    // stops being a passive cost ledger and becomes the live read path:
-    // votes and trains read through it, and its entriesSearched() counter
-    // measures the real per-fetch search work of the run.
+    // is the live read path: votes and trains read through it, and
+    // attachProbes() counts the fetch-front search work.
 
     /**
      * Switch the component to speculative (pipeline) operation with up to
@@ -100,8 +100,14 @@ class LocalComponent : public ScComponent
     /** Misprediction squash: drop all in-flight entries, lift the bound. */
     void squashSpeculation();
 
-    /** The window, for cost reporting (null until enableSpeculation). */
-    const InflightWindow *inflightWindow() const { return window.get(); }
+    /**
+     * Register local/window_searches (one per speculate(), re-fetches
+     * after a squash included) and local/window_compares (the in-flight
+     * entries those searches visit).  The vote()/update() lookups and
+     * the commit sandbox's re-derivations are not counted: they model
+     * no extra hardware search.
+     */
+    void attachProbes(obs::MetricsScope &scope);
 
     const Config &config() const { return cfg; }
 
@@ -126,6 +132,9 @@ class LocalComponent : public ScComponent
     // the prediction depends on).
     mutable std::unique_ptr<InflightWindow> window;
     std::uint64_t ticketHorizon = UINT64_MAX;
+
+    obs::ProbeCounter obsSearches;
+    obs::ProbeCounter obsCompares;
 };
 
 } // namespace imli

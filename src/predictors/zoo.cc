@@ -435,35 +435,35 @@ checkMetaOverrideApplies(const std::vector<SpecOverride> &overrides)
  * Reject overrides of components the spec does not enable: a sweep axis
  * over (say) sic.logsize on a host without +sic would simulate
  * byte-identical points and fake a Pareto spread — the configured table
- * exists but never votes.  Keyed by the "component." prefix.
+ * exists but never votes.  Keyed by the "component." prefix and read
+ * from the enable switches configureHost has just set.
  */
 void
-checkOverrideApplies(const ZooOptions &opts, const std::string &key)
+checkOverrideApplies(const CompositeHostConfig &cfg, const std::string &key)
 {
     const std::string prefix = key.substr(0, key.find('.'));
     bool active = true;
     std::string need;
     if (prefix == "sic") {
-        active = opts.imliSic;
+        active = cfg.imli.enableSic;
         need = "+sic or +i";
     } else if (prefix == "oh" || prefix == "outer") {
-        active = opts.imliOh;
+        active = cfg.imli.enableOh;
         need = "+oh or +i";
     } else if (prefix == "imli") {
-        active = opts.imliSic || opts.imliOh || opts.omli ||
-                 opts.imliInGscTables > 0;
+        active = cfg.enableImli || cfg.gsc.imliIndexTables > 0;
         need = "+sic, +oh, +i or +omli";
     } else if (prefix == "loop") {
-        active = opts.local || opts.loopOnly || opts.wormhole;
+        active = cfg.enableLoop;
         need = "+loop, +l or +wh";
     } else if (prefix == "itl") {
-        active = opts.ittageLoop;
+        active = cfg.enableItl;
         need = "+itl";
     } else if (prefix == "wh") {
-        active = opts.wormhole;
+        active = cfg.enableWh;
         need = "+wh";
     } else if (prefix == "local") {
-        active = opts.local;
+        active = cfg.enableLocal;
         need = "+l";
     }
     if (!active)
@@ -551,7 +551,7 @@ configureHost(CompositeHostConfig &cfg, TageCfg *tage,
     cfg.enableItl = opts.ittageLoop;
     cfg.enableWh = opts.wormhole;
     for (const SpecOverride &o : parsed.overrides)
-        checkOverrideApplies(opts, o.key);
+        checkOverrideApplies(cfg, o.key);
     for (const SpecOverride &o : parsed.overrides) {
         const KeyEntry &entry = keyForHost(o.key, parsed.host);
         if (entry.applyHost)

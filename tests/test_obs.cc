@@ -149,30 +149,42 @@ TEST(ObsInertness, StateDigestAndResultsUnchangedByProbes)
 {
     // Representative slice of the zoo: TAGE+SC+IMLI (the full composite
     // path), loop + ittage-loop side predictors, and the meta-chooser
-    // (which fans probes out to its subs under prefixes).
-    const std::vector<std::string> specs = {
-        "tage-gsc+i", "tage-gsc+i+l", "tage-gsc+itl",
-        "meta(tage-gsc,gehl,gshare)",
+    // (which fans probes out to its subs under prefixes).  The d63 +i+l
+    // case runs the pipeline engine, where the local in-flight window is
+    // live and its search probe fires.
+    struct Case
+    {
+        std::string spec;
+        unsigned updateDelay;
     };
-    for (const std::string &spec : specs) {
-        PredictorPtr plain = makePredictor(spec);
-        PredictorPtr probed = makePredictor(spec);
+    const std::vector<Case> cases = {
+        {"tage-gsc+i", 0},   {"tage-gsc+i+l", 0},
+        {"tage-gsc+itl", 0}, {"meta(tage-gsc,gehl,gshare)", 0},
+        {"tage-gsc+i+l", 63},
+    };
+    for (const Case &c : cases) {
+        const std::string label =
+            c.spec + " d" + std::to_string(c.updateDelay);
+        PredictorPtr plain = makePredictor(c.spec);
+        PredictorPtr probed = makePredictor(c.spec);
         MetricsScope scope;
         probed->attachProbes(scope);
 
+        SimOptions opts;
+        opts.updateDelay = c.updateDelay;
         GeneratorBranchSource s1(findBenchmark("MM-4"), 15000);
         GeneratorBranchSource s2(findBenchmark("MM-4"), 15000);
-        const SimResult a = simulate(*plain, s1);
-        const SimResult b = simulate(*probed, s2);
+        const SimResult a = simulate(*plain, s1, opts);
+        const SimResult b = simulate(*probed, s2, opts);
 
-        EXPECT_EQ(a.conditionals, b.conditionals) << spec;
-        EXPECT_EQ(a.mispredictions, b.mispredictions) << spec;
-        EXPECT_EQ(a.instructions, b.instructions) << spec;
-        EXPECT_EQ(plain->stateDigest(), probed->stateDigest()) << spec;
+        EXPECT_EQ(a.conditionals, b.conditionals) << label;
+        EXPECT_EQ(a.mispredictions, b.mispredictions) << label;
+        EXPECT_EQ(a.instructions, b.instructions) << label;
+        EXPECT_EQ(plain->stateDigest(), probed->stateDigest()) << label;
         // The probed run did actually observe something (the composite
         // and meta paths register counters), so the equality above is
         // not vacuous.
-        EXPECT_FALSE(scope.empty()) << spec;
+        EXPECT_FALSE(scope.empty()) << label;
     }
 }
 
@@ -277,6 +289,52 @@ TEST(ObsContent, LoopAndItlConfidenceProbesFire)
         EXPECT_TRUE(loop || itl)
             << spec << ": no confidence transitions observed";
     }
+}
+
+namespace
+{
+
+/** Run @p spec over MM07 at @p delay with its probes on @p scope. */
+SimResult
+runProbed(const std::string &spec, unsigned delay, MetricsScope &scope)
+{
+    PredictorPtr predictor = makePredictor(spec);
+    predictor->attachProbes(scope);
+    SimOptions opts;
+    opts.updateDelay = delay;
+    GeneratorBranchSource source(findBenchmark("MM07"), 10000);
+    return simulate(*predictor, source, opts);
+}
+
+} // anonymous namespace
+
+TEST(ObsContent, LocalWindowComparesCountTheFetchSearch)
+{
+    // One window search per fetched conditional: every graded branch
+    // plus the re-fetches after squashes.
+    MetricsScope d63;
+    const SimResult r63 = runProbed("tage-gsc+l", 63, d63);
+    const std::uint64_t compares63 =
+        d63.counterValue("local/window_compares");
+    EXPECT_GT(compares63, 0u);
+    EXPECT_GT(d63.counterValue("local/window_searches"), r63.conditionals);
+
+    // A shallower window holds fewer in-flight entries to compare.
+    MetricsScope d8;
+    runProbed("tage-gsc+l", 8, d8);
+    EXPECT_LT(d8.counterValue("local/window_compares"), compares63);
+
+    // The immediate engine has no in-flight window.
+    MetricsScope imm;
+    runProbed("tage-gsc+l", 0, imm);
+    EXPECT_EQ(imm.counterValue("local/window_compares"), 0u);
+    EXPECT_EQ(imm.counterValue("local/window_searches"), 0u);
+
+    // Without a local component nothing registers under local/.
+    MetricsScope imli;
+    runProbed("tage-gsc+i", 63, imli);
+    for (const auto &counter : imli.counters())
+        EXPECT_NE(counter.first.rfind("local/", 0), 0u) << counter.first;
 }
 
 // ---------------------------------------------------------------------------

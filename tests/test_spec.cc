@@ -1,139 +1,15 @@
 /**
  * @file
- * Tests for the speculative-state module: checkpoint-recovery equivalence
- * of the IMLI state (the paper's Section 4.2.1/4.3.2 hardware argument)
- * and the in-flight-window cost model.
+ * Tests for the Section 4.3.2 delayed-update sweeps.  Speculative-state
+ * recovery is tested on the pipeline engine itself (test_pipeline.cc).
  */
 
 #include <gtest/gtest.h>
 
-#include "src/core/imli_components.hh"
-#include "src/spec/checkpoint.hh"
 #include "src/spec/delayed_update.hh"
-#include "src/spec/fetch_model.hh"
-#include "src/util/rng.hh"
 #include "src/workloads/suite.hh"
 
 using namespace imli;
-
-// ---------------------------------------------------------------------------
-// SpeculativeImliModel: recovery equivalence property.
-// ---------------------------------------------------------------------------
-
-class SpecRecoveryProperty : public ::testing::TestWithParam<std::uint64_t>
-{
-};
-
-TEST_P(SpecRecoveryProperty, RecoveredStateMatchesOracle)
-{
-    // Drive the speculative model with randomly wrong predictions over a
-    // random loopy branch stream; after every branch the architectural
-    // state must equal the non-speculative oracle.
-    Xoroshiro128 rng(GetParam());
-    SpeculativeImliModel spec;
-    ImliComponents oracle;
-
-    for (int i = 0; i < 20000; ++i) {
-        const std::uint64_t pc = 0x1000 + rng.below(24) * 0x20;
-        const bool backward = rng.bernoulli(0.4);
-        const std::uint64_t target =
-            backward ? pc - 0x100 : pc + 0x40;
-        const bool actual = rng.bernoulli(0.6);
-        const bool predicted =
-            rng.bernoulli(0.85) ? actual : !actual; // ~15% mispredictions
-
-        spec.onBranch(pc, target, predicted, actual);
-        oracle.onResolved(pc, target, actual);
-
-        ASSERT_EQ(spec.counter().value(), oracle.counter().value())
-            << "counter diverged at step " << i;
-        ASSERT_EQ(spec.outerHistory().savePipe(),
-                  oracle.outerHistory().savePipe())
-            << "PIPE diverged at step " << i;
-    }
-    EXPECT_GT(spec.recoveries(), 1000u) << "the test actually recovered";
-    EXPECT_EQ(spec.checkpointsTaken(), 20000u);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, SpecRecoveryProperty,
-                         ::testing::Values(1u, 2u, 3u, 17u, 99u));
-
-TEST(SpecModel, CheckpointWidthMatchesPaper)
-{
-    SpeculativeImliModel spec;
-    EXPECT_EQ(spec.checkpointBits(), 26u); // 10-bit counter + 16-bit PIPE
-}
-
-TEST(SpecModel, PerfectPredictionNeverRecovers)
-{
-    SpeculativeImliModel spec;
-    Xoroshiro128 rng(4);
-    for (int i = 0; i < 1000; ++i) {
-        const bool taken = rng.bernoulli(0.5);
-        spec.onBranch(0x200, 0x100, taken, taken);
-    }
-    EXPECT_EQ(spec.recoveries(), 0u);
-}
-
-TEST(SpecModel, DelayedTableUpdateStillConverges)
-{
-    // With a 63-branch table-update delay the PIPE/counter recovery is
-    // unaffected (they are precise); only the table lags.
-    SpeculativeImliModel::Config cfg;
-    cfg.tableUpdateDelay = 63;
-    SpeculativeImliModel spec(cfg);
-    ImliCounter oracle(10);
-    Xoroshiro128 rng(5);
-    for (int i = 0; i < 5000; ++i) {
-        const bool actual = rng.bernoulli(0.7);
-        const bool predicted = rng.bernoulli(0.9) ? actual : !actual;
-        spec.onBranch(0x300, 0x100, predicted, actual);
-        oracle.onConditionalBranch(0x300, 0x100, actual);
-        ASSERT_EQ(spec.counter().value(), oracle.value());
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Fetch model: checkpoint vs in-flight search cost.
-// ---------------------------------------------------------------------------
-
-TEST(FetchModel, CountsSearchesPerConditional)
-{
-    const Trace t = generateTrace(findBenchmark("MM-4"), 20000);
-    const SpeculationCostReport r = measureSpeculationCost(t);
-    EXPECT_EQ(r.windowSearches, r.conditionalBranches);
-    EXPECT_GT(r.windowEntriesVisited, r.windowSearches)
-        << "associative search visits multiple entries";
-    EXPECT_EQ(r.checkpointTotalBits,
-              r.conditionalBranches * r.checkpointWidthBits);
-}
-
-TEST(FetchModel, CheckpointWidthVsWindowStorage)
-{
-    const Trace t = generateTrace(findBenchmark("WS03"), 10000);
-    FetchModelConfig cfg;
-    cfg.windowSize = 64;
-    const SpeculationCostReport r = measureSpeculationCost(t, cfg);
-    // The paper's argument: per-branch checkpoint width is tens of bits;
-    // the in-flight window holds kilobits of live speculative history.
-    EXPECT_LT(r.checkpointWidthBits, 64u);
-    EXPECT_GT(r.windowStorageBits, 1000u);
-    EXPECT_GT(r.avgEntriesPerSearch(), 4.0);
-    EXPECT_LE(r.avgEntriesPerSearch(), 64.0);
-    EXPECT_FALSE(r.toString().empty());
-}
-
-TEST(FetchModel, WindowSizeScalesSearchCost)
-{
-    const Trace t = generateTrace(findBenchmark("WS03"), 10000);
-    FetchModelConfig small;
-    small.windowSize = 8;
-    FetchModelConfig large;
-    large.windowSize = 128;
-    const auto rs = measureSpeculationCost(t, small);
-    const auto rl = measureSpeculationCost(t, large);
-    EXPECT_LT(rs.windowEntriesVisited, rl.windowEntriesVisited);
-}
 
 // ---------------------------------------------------------------------------
 // Delayed-update sweep plumbing (full experiment lives in bench/).
