@@ -87,8 +87,10 @@ main(int argc, char **argv)
     const unsigned checkpoint_bits =
         TageGscPredictor(TageGscPredictor::Config()).headPointerBits() +
         imli_state.checkpointBits();
+    const LocalComponent::Config local_cfg;
     const std::uint64_t window_bits =
-        InflightWindow(window, LocalComponent::Config().historyBits)
+        InflightWindow(window, local_cfg.historyBits,
+                       local_cfg.historyEntries)
             .storageBits();
 
     std::cout << "Section 2.3 complexity contrast on MM07 (update delay "

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 
 #include "src/util/hashing.hh"
 
@@ -15,7 +16,16 @@ HistoryManager::createFold(unsigned orig_length, unsigned folded_width)
 {
     assert(orig_length >= 1 && orig_length <= hist.capacityBits());
     assert(folded_width >= 1 && folded_width < 32);
-    assert(hist.headPointer() == 0 && snapHead.empty());
+    assert(hist.headPointer() == 0 && snapHead.empty() && !followMode);
+    const FoldShape shape{orig_length, folded_width};
+    const std::size_t twin = slotFor(shape);
+    shapes.push_back(shape);
+    if (twin < value.size()) {
+        // Same shape, same values at every push: share the slot.
+        slotOf.push_back(static_cast<std::uint32_t>(twin));
+        readOwnBank();
+        return static_cast<int>(slotOf.size() - 1);
+    }
     auto group = std::find_if(groups.begin(), groups.end(),
                               [&](const Group &g) {
                                   return g.length == orig_length;
@@ -35,12 +45,18 @@ HistoryManager::createFold(unsigned orig_length, unsigned folded_width)
     mask.insert(mask.begin() + slot, (1u << folded_width) - 1);
     outgoing.push_back(0);
     slotOf.push_back(slot);
+    readOwnBank();
     return static_cast<int>(slotOf.size() - 1);
 }
 
 void
 HistoryManager::push(bool taken, std::uint64_t pc)
 {
+    if (followMode) {
+        readRow += rowStride;
+        hist.push(taken, pc);
+        return;
+    }
     // Each group reads the bit ageing out of its window once, before the
     // buffer advances ...
     std::uint32_t *const out = outgoing.data();
@@ -65,6 +81,61 @@ HistoryManager::push(bool taken, std::uint64_t pc)
     hist.push(taken, pc);
 }
 
+std::size_t
+HistoryManager::slotFor(const FoldShape &shape) const
+{
+    const std::size_t id =
+        std::find(shapes.begin(), shapes.end(), shape) - shapes.begin();
+    return id < shapes.size() ? slotOf[id] : value.size();
+}
+
+void
+HistoryManager::createFolds(const HistoryManager &other)
+{
+    for (const FoldShape &shape : other.shapes)
+        if (slotFor(shape) == value.size())
+            (void)createFold(shape.first, shape.second);
+}
+
+void
+HistoryManager::follow(const HistoryManager &bank)
+{
+    if (followMode || hist.headPointer() != 0)
+        throw std::logic_error("HistoryManager::follow: the bank was already "
+                               "pushed or is already following");
+    followColumns.clear();
+    for (const FoldShape &shape : shapes) {
+        const std::size_t column = bank.slotFor(shape);
+        assert(column < bank.slotCount());
+        followColumns.push_back(static_cast<std::uint32_t>(column));
+    }
+    rowStride = bank.slotCount();
+    followMode = true;
+    readRow = nullptr; // until followRow()
+    readSlot = followColumns.data();
+}
+
+void
+HistoryManager::unfollow()
+{
+    if (!followMode)
+        return;
+    for (std::size_t id = 0; id < slotOf.size(); ++id)
+        value[slotOf[id]] = readRow[followColumns[id]];
+    followMode = false;
+    followColumns.clear();
+    readOwnBank();
+}
+
+void
+HistoryManager::throwIfFollowing(const char *what) const
+{
+    if (followMode)
+        throw std::logic_error(std::string("HistoryManager::") + what +
+                               " in follow mode (the fold values belong "
+                               "to the bank being followed)");
+}
+
 void
 HistoryManager::allocateRing(std::size_t slots) const
 {
@@ -76,6 +147,7 @@ HistoryManager::allocateRing(std::size_t slots) const
 void
 HistoryManager::prepare(unsigned max_inflight)
 {
+    throwIfFollowing("prepare");
     const std::size_t slots = std::size_t(1)
                               << ceilLog2(std::uint64_t(max_inflight) + 2);
     if (slots > snapHead.size())
@@ -85,6 +157,7 @@ HistoryManager::prepare(unsigned max_inflight)
 GlobalHistory::Checkpoint
 HistoryManager::save() const
 {
+    throwIfFollowing("save");
     if (snapHead.empty())
         allocateRing(1024);
     const GlobalHistory::Checkpoint cp = hist.save();
@@ -98,6 +171,7 @@ HistoryManager::save() const
 void
 HistoryManager::restore(const GlobalHistory::Checkpoint &cp)
 {
+    throwIfFollowing("restore");
     const std::size_t slot = static_cast<std::size_t>(cp.head & slotMask);
     if (snapHead.empty() || snapHead[slot] != cp.head)
         throw std::logic_error(

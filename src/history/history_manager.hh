@@ -12,13 +12,26 @@
  * value, outgoing-bit position and width, with the folds of one history
  * length in a contiguous group.  A push reads each group's outgoing bit
  * once, then updates every fold in one flat loop over the arrays; a
- * checkpoint save or restore is one copy of the value array.
+ * checkpoint save or restore is one copy of the value array.  Folds of
+ * equal (length, width) evolve identically, so they share one bank slot:
+ * each createFold() gets its own id, but tage-gsc's 41 folds occupy 36
+ * slots.
+ *
+ * On the immediate engine history is a pure function of the record
+ * stream, so the predictors of one simulateMany pass need not each push
+ * their own bank.  In follow mode a manager reads its fold values from
+ * rows of an external bank (one row per record, filled by the pass; see
+ * simulator.cc) and a push only advances its GlobalHistory and the row;
+ * leaving follow mode copies the last row's values back, so the manager
+ * ends exactly where pushing alone would have left it.
  */
 
 #ifndef IMLI_SRC_HISTORY_HISTORY_MANAGER_HH
 #define IMLI_SRC_HISTORY_HISTORY_MANAGER_HH
 
+#include <cassert>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/history/global_history.hh"
@@ -39,22 +52,69 @@ class HistoryManager
         for (auto *bank : {&value, &outBit, &mask, &outgoing, &slotOf})
             bank->reserve(kReservedFolds);
         groups.reserve(kReservedFolds);
+        shapes.reserve(kReservedFolds);
+        readOwnBank();
     }
+
+    // Fold reads go through pointers into this object's own arrays.
+    HistoryManager(const HistoryManager &) = delete;
+    HistoryManager &operator=(const HistoryManager &) = delete;
 
     /**
      * Create a folded view of the @p orig_length most recent bits at
      * @p folded_width bits (1..31) and return its id: dense from 0 in
-     * creation order, valid for the lifetime of the manager.
+     * creation order, valid for the lifetime of the manager.  A shape
+     * created before gets a new id on the existing slot.
      * @p orig_length must be in [1, capacity], and every fold must be
-     * created before the first push and the first save().
+     * created before the first push, the first save() and follow().
      */
     int createFold(unsigned orig_length, unsigned folded_width);
 
     /** Current value of fold @p id (as returned by createFold). */
-    std::uint32_t foldValue(int id) const { return value[slotOf[id]]; }
+    std::uint32_t foldValue(int id) const { return readRow[readSlot[id]]; }
 
-    /** Append one history bit; updates every fold first. */
+    /**
+     * Append one history bit.  Updates every fold first, or in follow
+     * mode moves on to the next row instead.
+     */
     void push(bool taken, std::uint64_t pc);
+
+    /** Fold ids created, and distinct folds (bank slots) among them. */
+    std::size_t foldCount() const { return shapes.size(); }
+    std::size_t slotCount() const { return value.size(); }
+
+    /** The bank's own fold values in slot order (slotCount() words). */
+    const std::uint32_t *slotValues() const { return value.data(); }
+
+    /** Create here every fold of @p other that this bank lacks. */
+    void createFolds(const HistoryManager &other);
+
+    /**
+     * Enter follow mode over rows of @p bank's slot values, one row per
+     * push (see followRow()): foldValue(id) reads the current row's
+     * word for this fold's shape, and push() moves to the next row
+     * instead of updating this bank.  @p bank must hold every fold of
+     * this manager (createFolds()) and be pushed with the same bits
+     * from the same empty start.  No fold may be read before the first
+     * followRow().  Throws std::logic_error when this manager was
+     * already pushed or is already following.
+     */
+    void follow(const HistoryManager &bank);
+
+    /** Follow mode: @p row holds the fold values before the next push. */
+    void followRow(const std::uint32_t *row)
+    {
+        assert(followMode);
+        readRow = row;
+    }
+
+    /**
+     * Leave follow mode: the current row's values become this bank's
+     * own, as if every push since follow() had updated it.
+     */
+    void unfollow();
+
+    bool following() const { return followMode; }
 
     const GlobalHistory &history() const { return hist; }
 
@@ -63,6 +123,9 @@ class HistoryManager
      * checkpoints plus the pipeline's commit-front checkpoint: a power
      * of two >= max_inflight + 2 slots.  Only grows; a manager never
      * prepared allocates a 1024-slot ring at its first save().
+     *
+     * prepare(), save() and restore() throw std::logic_error in follow
+     * mode: a follower's fold values are not its own to snapshot.
      */
     void prepare(unsigned max_inflight);
 
@@ -87,7 +150,21 @@ class HistoryManager
     void restore(const GlobalHistory::Checkpoint &cp);
 
   private:
+    /** (history length, folded width) of one fold. */
+    using FoldShape = std::pair<unsigned, unsigned>;
+
+    /** The slot of a fold of @p shape; slotCount() when there is none. */
+    std::size_t slotFor(const FoldShape &shape) const;
+
     void allocateRing(std::size_t slots) const;
+    void throwIfFollowing(const char *what) const;
+
+    /** Point fold reads at this bank's own arrays. */
+    void readOwnBank()
+    {
+        readRow = value.data();
+        readSlot = slotOf.data();
+    }
 
     static constexpr std::size_t kReservedFolds = 64;
 
@@ -109,6 +186,16 @@ class HistoryManager
     std::vector<std::uint32_t> outgoing; //!< push(): outBit & aged-out bit
     std::vector<Group> groups;
     std::vector<std::uint32_t> slotOf; //!< fold id -> bank slot
+    std::vector<FoldShape> shapes;     //!< fold id -> shape
+
+    // foldValue(id) = readRow[readSlot[id]]: this bank's values through
+    // slotOf, or in follow mode the current external row through the
+    // follow() columns.
+    const std::uint32_t *readRow = nullptr;
+    const std::uint32_t *readSlot = nullptr;
+    bool followMode = false;
+    std::vector<std::uint32_t> followColumns;
+    std::size_t rowStride = 0;
 
     // Fold-snapshot ring: slot (head & slotMask) holds a copy of the
     // value array, tagged with the head that wrote it.

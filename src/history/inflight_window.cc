@@ -2,11 +2,15 @@
 
 #include <cassert>
 
+#include "src/util/hashing.hh"
+
 namespace imli
 {
 
-InflightWindow::InflightWindow(unsigned capacity, unsigned history_bits)
-    : cap(capacity), histBits(history_bits)
+InflightWindow::InflightWindow(unsigned capacity, unsigned history_bits,
+                               unsigned table_entries)
+    : cap(capacity), histBits(history_bits),
+      indexBits(ceilLog2(table_entries))
 {
     assert(capacity >= 1);
 }
@@ -63,8 +67,8 @@ InflightWindow::squashAll()
 std::uint64_t
 InflightWindow::storageBits() const
 {
-    // Each slot: local index tag + carried history register.
-    return static_cast<std::uint64_t>(cap) * (histBits + 16);
+    // Each slot: local-table index + carried history register.
+    return static_cast<std::uint64_t>(cap) * (histBits + indexBits);
 }
 
 } // namespace imli

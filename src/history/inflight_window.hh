@@ -37,8 +37,11 @@ class InflightWindow
     /**
      * @param capacity maximum in-flight branches (ROB-limited)
      * @param history_bits width of the carried local history
+     * @param table_entries entries of the local history table (the
+     *        search key each slot stores is an index into it)
      */
-    InflightWindow(unsigned capacity, unsigned history_bits);
+    InflightWindow(unsigned capacity, unsigned history_bits,
+                   unsigned table_entries);
 
     /**
      * Record a newly predicted branch with the speculative history that
@@ -105,7 +108,10 @@ class InflightWindow
      */
     std::uint64_t entriesSearched() const { return searched; }
 
-    /** Storage held by the window: history bits per in-flight branch. */
+    /**
+     * Storage held by the window: per in-flight branch, the carried
+     * history plus the local-table index it is searched by.
+     */
     std::uint64_t storageBits() const;
 
   private:
@@ -119,6 +125,7 @@ class InflightWindow
     std::deque<Entry> window; //!< oldest at front
     unsigned cap;
     unsigned histBits;
+    unsigned indexBits;
     std::uint64_t nextTicket = 1;
     std::uint64_t searched = 0;
 };

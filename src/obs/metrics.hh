@@ -249,7 +249,11 @@ class MetricsRegistry
     CellObs &cell(std::size_t i) { return cells_[i]; }
     const CellObs &cell(std::size_t i) const { return cells_[i]; }
 
-    /** Run-level gauge (e.g. thread-pool queue high-water). */
+    /**
+     * Run-level gauge.  Like every value in the JSON it must not depend
+     * on thread scheduling: two identical runs differ only in
+     * wall_seconds.
+     */
     void setGauge(const std::string &name, double value);
 
     /**

@@ -104,7 +104,7 @@ CompositeHost::update(std::uint64_t pc, bool taken, std::uint64_t target)
             currentLoopPc = 0;
     }
 
-    histMgr.push(taken, pc);
+    histMgr.push(pushedHistoryBit(BranchType::CondDirect, taken), pc);
 }
 
 void
@@ -162,10 +162,8 @@ void
 CompositeHost::trackOtherInst(std::uint64_t pc, BranchType type, bool taken,
                               std::uint64_t target)
 {
-    (void)type;
-    (void)taken;
     (void)target;
-    histMgr.push(true, pc);
+    histMgr.push(pushedHistoryBit(type, taken), pc);
 }
 
 void

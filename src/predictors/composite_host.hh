@@ -123,6 +123,9 @@ class CompositeHost : public ConditionalPredictor
     std::string name() const override { return comp.configName; }
     StorageAccount storage() const final;
 
+    /** Every fold of the core and the GSC bank lives in histMgr. */
+    HistoryManager *foldBank() final { return &histMgr; }
+
     /**
      * Shared-component probe registration (IMLI / local / loop /
      * ITTAGE-loop), then the core's own probes via attachProbesHost().

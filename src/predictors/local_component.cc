@@ -71,7 +71,8 @@ void
 LocalComponent::enableSpeculation(unsigned max_inflight)
 {
     window = std::make_unique<InflightWindow>(
-        max_inflight < 1 ? 1 : max_inflight, cfg.historyBits);
+        max_inflight < 1 ? 1 : max_inflight, cfg.historyBits,
+        cfg.historyEntries);
     ticketHorizon = UINT64_MAX;
 }
 

@@ -46,6 +46,21 @@ namespace obs
 class MetricsScope;
 } // namespace obs
 
+class HistoryManager;
+
+/**
+ * The bit a host predictor pushes into its global history for a record
+ * of type @p type: the outcome of a conditional branch, 1 for every
+ * other branch.  The one definition of that rule, shared by the hosts'
+ * update()/trackOtherInst() and the simulator's pass-level fold bank
+ * (which must push exactly the bits its followers would have).
+ */
+inline bool
+pushedHistoryBit(BranchType type, bool taken)
+{
+    return isConditional(type) ? taken : true;
+}
+
 /**
  * Deepest in-flight window the speculation contract supports, in
  * branches.  Bounded by checkpoint recoverability: after a restore the
@@ -126,6 +141,15 @@ class ConditionalPredictor
 
     /** Unused in the library; goes with e2e_bench's override of it. */
     virtual void prefetch(std::uint64_t pc) const { (void)pc; }
+
+    /**
+     * The fold bank holding this predictor's global-history folds, when
+     * the immediate engine may have it follow a pass-level bank
+     * (HistoryManager::follow): the predictor reads its folds only
+     * through that bank and pushes it exactly once per record, with
+     * pushedHistoryBit().  Default nullptr: the predictor keeps its own.
+     */
+    virtual HistoryManager *foldBank() { return nullptr; }
 
     // ---- Speculation contract (pipeline simulation) ---------------------
     //

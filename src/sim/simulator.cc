@@ -4,6 +4,7 @@
 #include <memory>
 #include <stdexcept>
 
+#include "src/history/history_manager.hh"
 #include "src/obs/phase_series.hh"
 #include "src/predictors/zoo.hh"
 #include "src/sim/pipeline_simulator.hh"
@@ -87,6 +88,96 @@ replayChunk(ConditionalPredictor &predictor, const BranchSpan &chunk,
     }
 }
 
+/**
+ * Records per sub-span of a pass whose predictors share a fold bank: the
+ * rows of one sub-span (about 42 KB for 41 folds) stay in cache while
+ * every predictor replays it.
+ */
+constexpr std::size_t kSharedSpanRecords = 256;
+
+/**
+ * One fold bank for the immediate-engine hosts of a simulateMany pass.
+ * Their history is a pure function of the stream, so the pass pushes
+ * one bank holding every distinct fold and writes its values into one
+ * row per record; each follower reads its folds from the rows (see
+ * HistoryManager::follow) and pushes only its own GlobalHistory.
+ * Pipeline-engine predictors (their history follows predictions),
+ * predictors without a bank, banks already pushed and passes with fewer
+ * than two candidates keep their own banks.
+ */
+class SharedFoldBank
+{
+  public:
+    SharedFoldBank(const std::vector<ConditionalPredictor *> &predictors,
+                   const std::vector<SimOptions> &options)
+    {
+        std::vector<HistoryManager *> candidates;
+        for (std::size_t p = 0; p < predictors.size(); ++p) {
+            HistoryManager *mgr = predictors[p]->foldBank();
+            if (mgr != nullptr && !options[p].usePipeline() &&
+                mgr->history().headPointer() == 0 && !mgr->following())
+                candidates.push_back(mgr);
+        }
+        // A predictor listed twice pushes twice per record: not a
+        // follower.
+        for (HistoryManager *mgr : candidates)
+            if (std::count(candidates.begin(), candidates.end(), mgr) == 1)
+                followers.push_back(mgr);
+        if (followers.size() < 2) {
+            followers.clear();
+            return;
+        }
+
+        unsigned capacity = 0;
+        for (const HistoryManager *f : followers)
+            capacity = std::max(capacity, f->history().capacityBits());
+        bank = std::make_unique<HistoryManager>(capacity);
+        for (const HistoryManager *f : followers)
+            bank->createFolds(*f);
+
+        // Allocated once, before the first chunk.
+        stride = bank->slotCount();
+        rows.resize((kSharedSpanRecords + 1) * stride);
+        std::copy_n(bank->slotValues(), stride, rows.begin());
+        for (HistoryManager *f : followers) {
+            f->follow(*bank);
+            f->followRow(rows.data());
+        }
+    }
+
+    /** Followers end with the fold values they would have pushed to. */
+    ~SharedFoldBank()
+    {
+        for (HistoryManager *f : followers)
+            f->unfollow();
+    }
+
+    bool active() const { return !followers.empty(); }
+
+    /**
+     * Row i = the bank before record i of @p span, row span.count = after
+     * its last record; every follower starts over at row 0.
+     */
+    void fill(const BranchSpan &span)
+    {
+        std::uint32_t *row = rows.data();
+        for (const BranchRecord &rec : span) {
+            std::copy_n(bank->slotValues(), stride, row);
+            bank->push(pushedHistoryBit(rec.type, rec.taken), rec.pc);
+            row += stride;
+        }
+        std::copy_n(bank->slotValues(), stride, row);
+        for (HistoryManager *f : followers)
+            f->followRow(rows.data());
+    }
+
+  private:
+    std::vector<HistoryManager *> followers;
+    std::unique_ptr<HistoryManager> bank;
+    std::size_t stride = 0;
+    std::vector<std::uint32_t> rows;
+};
+
 } // anonymous namespace
 
 SimOptions
@@ -138,19 +229,31 @@ simulateMany(const std::vector<ConditionalPredictor *> &predictors,
                                                            options[p]);
     }
 
+    // With a shared fold bank, each chunk is walked in fixed sub-spans:
+    // the bank fills the sub-span's rows, then every predictor replays
+    // it.  Without one, a sub-span is the whole chunk.
+    SharedFoldBank shared(predictors, options);
     std::uint64_t seen = 0;
     for (BranchSpan chunk = source.nextChunk(); !chunk.empty();
          chunk = source.nextChunk()) {
-        for (std::size_t p = 0; p < predictors.size(); ++p) {
-            if (pipes[p]) {
-                for (const BranchRecord &rec : chunk)
-                    pipes[p]->onRecord(rec);
-            } else {
-                replayChunk(*predictors[p], chunk, seen, options[p],
-                            results[p]);
+        const std::size_t step =
+            shared.active() ? kSharedSpanRecords : chunk.count;
+        for (std::size_t at = 0; at < chunk.count; at += step) {
+            const BranchSpan span{chunk.records + at,
+                                  std::min(step, chunk.count - at)};
+            if (shared.active())
+                shared.fill(span);
+            for (std::size_t p = 0; p < predictors.size(); ++p) {
+                if (pipes[p]) {
+                    for (const BranchRecord &rec : span)
+                        pipes[p]->onRecord(rec);
+                } else {
+                    replayChunk(*predictors[p], span, seen, options[p],
+                                results[p]);
+                }
             }
+            seen += span.count;
         }
-        seen += chunk.count;
     }
     for (std::size_t p = 0; p < predictors.size(); ++p) {
         if (pipes[p]) {

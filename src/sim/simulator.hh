@@ -12,6 +12,14 @@
  * speculative pipeline engine (pipeline_simulator.hh): prediction at
  * fetch, training at commit, squash-and-replay on mispredictions.  At
  * updateDelay == 0 the two engines are bit-identical.
+ *
+ * simulateMany shares one stream between N predictors, and on the
+ * immediate engine also one fold bank: when two or more hosts expose a
+ * never-pushed bank (ConditionalPredictor::foldBank()), the pass pushes
+ * one bank holding every distinct fold and the hosts' managers follow
+ * its per-record rows (HistoryManager::follow), walking each chunk in
+ * 256-record sub-spans.  Results and final predictor state are those of
+ * N independent runs.
  */
 
 #ifndef IMLI_SRC_SIM_SIMULATOR_HH

@@ -170,7 +170,7 @@ runBenchmarkPass(const BenchmarkSpec &spec,
     return cells;
 }
 
-std::size_t
+void
 forEachBenchmark(std::size_t count, unsigned jobs,
                  const std::function<void(std::size_t)> &task)
 {
@@ -179,13 +179,12 @@ forEachBenchmark(std::size_t count, unsigned jobs,
     if (jobs <= 1 || count == 0) {
         for (std::size_t b = 0; b < count; ++b)
             task(b);
-        return 0;
+        return;
     }
     // More workers than benchmarks would never get a task.
     ThreadPool pool(
         static_cast<unsigned>(std::min<std::size_t>(jobs, count)));
     pool.parallelFor(count, task);
-    return pool.queueHighWater();
 }
 
 SuiteResults
@@ -213,7 +212,7 @@ runSuite(const std::vector<BenchmarkSpec> &benchmarks,
 
     const auto runStart = std::chrono::steady_clock::now();
     std::mutex progressMutex;
-    const std::size_t queueHighWater = forEachBenchmark(
+    forEachBenchmark(
         benchmarks.size(), options.jobs, [&](std::size_t b) {
             std::vector<obs::CellObs *> slots;
             if (options.metrics != nullptr)
@@ -232,9 +231,6 @@ runSuite(const std::vector<BenchmarkSpec> &benchmarks,
                     options.progress(benchmarks[b].name, done);
             }
         });
-    if (options.metrics != nullptr)
-        options.metrics->setGauge("threadpool/queue_high_water",
-                                  static_cast<double>(queueHighWater));
     results.wallSeconds = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - runStart)
                               .count();

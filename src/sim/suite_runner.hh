@@ -197,11 +197,10 @@ runBenchmarkPass(const BenchmarkSpec &spec,
  * @p jobs 1 runs the tasks serially in the caller; otherwise they are
  * self-scheduled on a ThreadPool of min(jobs, count) workers, jobs 0
  * meaning one per hardware thread.  Tasks of different b may run
- * concurrently, so each must write only its own slots.  Returns the
- * pool's queue high-water mark (0 when serial).
+ * concurrently, so each must write only its own slots.
  */
-std::size_t forEachBenchmark(std::size_t count, unsigned jobs,
-                             const std::function<void(std::size_t)> &task);
+void forEachBenchmark(std::size_t count, unsigned jobs,
+                      const std::function<void(std::size_t)> &task);
 
 /**
  * Parse a trace-length string (shared by --branches flags and the

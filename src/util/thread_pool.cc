@@ -53,17 +53,8 @@ ThreadPool::submit(std::function<void()> task)
         std::unique_lock<std::mutex> lock(mutex);
         queue.push_back(std::move(task));
         ++inFlight;
-        if (queue.size() > queueHighWaterMark)
-            queueHighWaterMark = queue.size();
     }
     workAvailable.notify_one();
-}
-
-std::size_t
-ThreadPool::queueHighWater() const
-{
-    std::unique_lock<std::mutex> lock(mutex);
-    return queueHighWaterMark;
 }
 
 void

@@ -57,14 +57,6 @@ class ThreadPool
     void submit(std::function<void()> task);
 
     /**
-     * Deepest the pending-task queue has ever been (tasks submitted but
-     * not yet picked up by a worker).  A saturation gauge for the suite
-     * runner's metrics export: 0 means workers always kept up.  Reads
-     * race benignly with submits; call after wait() for a stable value.
-     */
-    std::size_t queueHighWater() const;
-
-    /**
      * Block until every submitted task has finished.  Rethrows the first
      * captured task exception (subsequent ones are dropped).
      */
@@ -106,11 +98,10 @@ class ThreadPool
 
     std::vector<std::thread> workers;
     std::deque<std::function<void()>> queue;
-    mutable std::mutex mutex;
+    std::mutex mutex;
     std::condition_variable workAvailable; //!< signalled on submit/stop
     std::condition_variable allIdle;       //!< signalled when queue drains
     std::size_t inFlight = 0;              //!< queued + currently running
-    std::size_t queueHighWaterMark = 0;    //!< deepest pending queue seen
     std::exception_ptr firstError;
     bool stopping = false;
 };

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <tuple>
 #include <vector>
@@ -221,6 +222,143 @@ TEST(FoldBank, EveryFoldMatchesRecomputeAcrossSaveRestore)
     }
 }
 
+TEST(FoldBank, DuplicateShapesShareASlotAndMatchRecompute)
+{
+    // Repeated (length, width) pairs get their own ids on one slot; a
+    // length repeated at another width stays a separate fold.
+    const std::vector<FoldGeometry> geometry = {
+        {37, 9}, {200, 11}, {37, 9},  {37, 8},  {5, 12},
+        {200, 11}, {1, 1},  {37, 9},  {640, 10}, {1, 1}};
+    HistoryManager mgr(1024);
+    std::vector<int> ids;
+    for (const FoldGeometry &g : geometry)
+        ids.push_back(mgr.createFold(g.length, g.width));
+    ASSERT_EQ(mgr.foldCount(), geometry.size());
+    EXPECT_EQ(mgr.slotCount(), 6u);
+    for (std::size_t i = 0; i < ids.size(); ++i)
+        EXPECT_EQ(ids[i], static_cast<int>(i));
+
+    Xoroshiro128 rng(83);
+    for (unsigned n = 1; n <= 3000; ++n) {
+        mgr.push(rng.bernoulli(0.5), 0x100 + 2 * (n & 0x7f));
+        if (n % 97 == 0 || n == 3000)
+            expectBankMatchesRecompute(mgr, ids, geometry, "push");
+    }
+}
+
+namespace
+{
+
+/**
+ * Drive @p follower through @p bits the way simulateMany drives a shared
+ * pass: @p bank takes the follower's folds (beside its own), fills one
+ * row per bit in spans of @p span, and the follower pushes through the
+ * rows.
+ */
+void
+followThrough(HistoryManager &follower, HistoryManager &bank,
+              const std::vector<bool> &bits, std::size_t span)
+{
+    bank.createFolds(follower);
+    const std::size_t stride = bank.slotCount();
+    std::vector<std::uint32_t> rows((span + 1) * stride);
+    follower.follow(bank);
+    for (std::size_t at = 0; at < bits.size(); at += span) {
+        const std::size_t n = std::min(span, bits.size() - at);
+        for (std::size_t i = 0; i <= n; ++i) {
+            std::copy_n(bank.slotValues(), stride, rows.begin() + i * stride);
+            if (i < n)
+                bank.push(bits[at + i], 0x40 + 2 * (at + i));
+        }
+        follower.followRow(rows.data());
+        for (std::size_t i = 0; i < n; ++i)
+            follower.push(bits[at + i], 0x40 + 2 * (at + i));
+    }
+    follower.unfollow();
+}
+
+} // anonymous namespace
+
+TEST(FoldBank, FollowThenUnfollowMatchesAnUnsharedTwin)
+{
+    const std::vector<FoldGeometry> geometry = {
+        {37, 9}, {200, 11}, {37, 9}, {5, 12}, {640, 10}, {1, 1}};
+    HistoryManager twin(2048), follower(2048), bank(2048);
+    std::vector<int> ids;
+    // The pass bank also holds another member's folds, registered first,
+    // so the follower's columns are not its own slots.
+    for (const FoldGeometry &g : {FoldGeometry{64, 7}, FoldGeometry{200, 11},
+                                  FoldGeometry{3, 2}})
+        (void)bank.createFold(g.length, g.width);
+    for (const FoldGeometry &g : geometry) {
+        ids.push_back(twin.createFold(g.length, g.width));
+        (void)follower.createFold(g.length, g.width);
+    }
+
+    Xoroshiro128 rng(89);
+    std::vector<bool> bits;
+    for (int i = 0; i < 2500; ++i)
+        bits.push_back(rng.bernoulli(0.5));
+    for (std::size_t i = 0; i < bits.size(); ++i)
+        twin.push(bits[i], 0x40 + 2 * i);
+    // A span that does not divide the stream: the last one is partial.
+    followThrough(follower, bank, bits, 256);
+    EXPECT_EQ(bank.slotCount(), 7u);
+
+    EXPECT_FALSE(follower.following());
+    EXPECT_EQ(follower.history().headPointer(), twin.history().headPointer());
+    EXPECT_EQ(follower.history().path(), twin.history().path());
+    expectBankMatchesRecompute(follower, ids, geometry, "unfollowed");
+    for (const int id : ids)
+        EXPECT_EQ(follower.foldValue(id), twin.foldValue(id));
+
+    // Back on its own bank: pushes, save() and restore() behave as the
+    // twin's do.
+    twin.prepare(8);
+    follower.prepare(8);
+    const auto twinCp = twin.save();
+    const auto cp = follower.save();
+    for (int i = 0; i < 8; ++i) {
+        const bool b = rng.bernoulli(0.5);
+        twin.push(b, 0x900);
+        follower.push(b, 0x900);
+    }
+    for (const int id : ids)
+        EXPECT_EQ(follower.foldValue(id), twin.foldValue(id));
+    twin.restore(twinCp);
+    follower.restore(cp);
+    for (const int id : ids)
+        EXPECT_EQ(follower.foldValue(id), twin.foldValue(id));
+    expectBankMatchesRecompute(follower, ids, geometry, "restored");
+}
+
+TEST(FoldBank, FollowModeRefusesCheckpointsAndPushedBanks)
+{
+    HistoryManager follower(1024), bank(1024);
+    const int id = follower.createFold(20, 7);
+    bank.createFolds(follower);
+    follower.follow(bank);
+    EXPECT_TRUE(follower.following());
+    EXPECT_THROW((void)follower.save(), std::logic_error);
+    EXPECT_THROW(follower.prepare(4), std::logic_error);
+    EXPECT_THROW(follower.restore(GlobalHistory::Checkpoint()),
+                 std::logic_error);
+    EXPECT_THROW(follower.follow(bank), std::logic_error);
+    // Unfollowing before any push leaves the empty-history values.
+    const std::vector<std::uint32_t> row(bank.slotValues(),
+                                         bank.slotValues() + bank.slotCount());
+    follower.followRow(row.data());
+    follower.unfollow();
+    EXPECT_EQ(follower.foldValue(id), 0u);
+    EXPECT_NO_THROW((void)follower.save());
+
+    // A bank that has already been pushed cannot start following.
+    HistoryManager pushed(1024);
+    (void)pushed.createFold(20, 7);
+    pushed.push(true, 0x40);
+    EXPECT_THROW(pushed.follow(bank), std::logic_error);
+}
+
 // ---------------------------------------------------------------------------
 // HistoryManager
 // ---------------------------------------------------------------------------
@@ -424,7 +562,7 @@ TEST(LocalHistory, StorageAccounting)
 
 TEST(InflightWindow, LookupFindsNewestInstance)
 {
-    InflightWindow w(8, 16);
+    InflightWindow w(8, 16, 256);
     w.insert(3, 0b01);
     w.insert(3, 0b10);
     const auto hit = w.lookup(3);
@@ -434,14 +572,14 @@ TEST(InflightWindow, LookupFindsNewestInstance)
 
 TEST(InflightWindow, MissReturnsEmpty)
 {
-    InflightWindow w(8, 16);
+    InflightWindow w(8, 16, 256);
     w.insert(1, 7);
     EXPECT_FALSE(w.lookup(2).has_value());
 }
 
 TEST(InflightWindow, SearchCostCounted)
 {
-    InflightWindow w(8, 16);
+    InflightWindow w(8, 16, 256);
     w.insert(1, 1);
     w.insert(2, 2);
     w.insert(3, 3);
@@ -453,7 +591,7 @@ TEST(InflightWindow, SearchCostCounted)
 
 TEST(InflightWindow, SquashAfterTicket)
 {
-    InflightWindow w(8, 16);
+    InflightWindow w(8, 16, 256);
     const auto t1 = w.insert(1, 1);
     w.insert(2, 2);
     w.insert(3, 3);
@@ -465,7 +603,7 @@ TEST(InflightWindow, SquashAfterTicket)
 
 TEST(InflightWindow, CapacityEvictsOldest)
 {
-    InflightWindow w(2, 16);
+    InflightWindow w(2, 16, 256);
     w.insert(1, 1);
     w.insert(2, 2);
     w.insert(3, 3);
@@ -475,7 +613,7 @@ TEST(InflightWindow, CapacityEvictsOldest)
 
 TEST(InflightWindow, CommitRemovesOldest)
 {
-    InflightWindow w(4, 16);
+    InflightWindow w(4, 16, 256);
     w.insert(1, 1);
     w.insert(2, 2);
     w.commitOldest();
@@ -485,8 +623,10 @@ TEST(InflightWindow, CommitRemovesOldest)
 
 TEST(InflightWindow, StorageScalesWithCapacity)
 {
-    InflightWindow small(16, 24);
-    InflightWindow large(64, 24);
+    InflightWindow small(16, 24, 256);
+    InflightWindow large(64, 24, 256);
     EXPECT_LT(small.storageBits(), large.storageBits());
-    EXPECT_EQ(large.storageBits(), 64u * (24 + 16));
+    // Per slot: the 24-bit history plus an 8-bit index into 256 entries.
+    EXPECT_EQ(large.storageBits(), 64u * (24 + 8));
+    EXPECT_EQ(InflightWindow(64, 24, 1024).storageBits(), 64u * (24 + 10));
 }

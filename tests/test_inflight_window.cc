@@ -18,7 +18,7 @@ using namespace imli;
 
 TEST(InflightWindowEdge, SquashAfterFutureTicketIsNoOp)
 {
-    InflightWindow w(8, 16);
+    InflightWindow w(8, 16, 256);
     w.insert(1, 0x1);
     w.insert(2, 0x2);
     // A ticket that was never issued: nothing is younger than it.
@@ -29,7 +29,7 @@ TEST(InflightWindowEdge, SquashAfterFutureTicketIsNoOp)
 
 TEST(InflightWindowEdge, SquashAfterZeroSquashesEverything)
 {
-    InflightWindow w(8, 16);
+    InflightWindow w(8, 16, 256);
     w.insert(1, 0x1);
     w.insert(2, 0x2);
     w.insert(3, 0x3);
@@ -41,7 +41,7 @@ TEST(InflightWindowEdge, SquashAfterZeroSquashesEverything)
 
 TEST(InflightWindowEdge, SquashAfterCommittedTicketSquashesAllYounger)
 {
-    InflightWindow w(8, 16);
+    InflightWindow w(8, 16, 256);
     const std::uint64_t oldest = w.insert(1, 0x1);
     w.insert(2, 0x2);
     w.insert(3, 0x3);
@@ -63,7 +63,7 @@ TEST(InflightWindowEdge, SquashAfterCommittedTicketSquashesAllYounger)
 
 TEST(InflightWindowEdge, LookupOnEmptyWindowAfterSquashAll)
 {
-    InflightWindow w(4, 16);
+    InflightWindow w(4, 16, 256);
     w.insert(7, 0xab);
     w.squashAll();
     const std::uint64_t searchedBefore = w.entriesSearched();
@@ -78,7 +78,7 @@ TEST(InflightWindowEdge, LookupOnEmptyWindowAfterSquashAll)
 
 TEST(InflightWindowEdge, EntriesSearchedCountsEveryVisit)
 {
-    InflightWindow w(8, 16);
+    InflightWindow w(8, 16, 256);
     w.insert(1, 0x1);
     w.insert(2, 0x2);
     w.insert(3, 0x3);
@@ -101,7 +101,7 @@ TEST(InflightWindowEdge, EntriesSearchedIsPlainModuloCounter)
     // increment is on an unsigned type).  The pin is behavioural, not a
     // 2^64-iteration loop: the counter advances by exactly the entries
     // visited, so its residue is fully determined by the visit count.
-    InflightWindow w(2, 8);
+    InflightWindow w(2, 8, 256);
     w.insert(1, 0x1);
     std::uint64_t visits = 0;
     for (int i = 0; i < 1000; ++i) {
@@ -113,7 +113,7 @@ TEST(InflightWindowEdge, EntriesSearchedIsPlainModuloCounter)
 
 TEST(InflightWindowEdge, LookupBeforeBoundsVisibility)
 {
-    InflightWindow w(8, 16);
+    InflightWindow w(8, 16, 256);
     const std::uint64_t t1 = w.insert(5, 0x11);
     const std::uint64_t t2 = w.insert(5, 0x22);
     w.insert(5, 0x33);
@@ -131,7 +131,7 @@ TEST(InflightWindowEdge, LookupBeforeBoundsVisibility)
 
 TEST(InflightWindowEdge, LookupBeforeStillCountsSkippedEntries)
 {
-    InflightWindow w(8, 16);
+    InflightWindow w(8, 16, 256);
     const std::uint64_t t1 = w.insert(5, 0x11);
     w.insert(5, 0x22);
     w.insert(5, 0x33);
@@ -144,7 +144,7 @@ TEST(InflightWindowEdge, LookupBeforeStillCountsSkippedEntries)
 
 TEST(InflightWindowEdge, LastTicketTracksInsertsOnly)
 {
-    InflightWindow w(4, 16);
+    InflightWindow w(4, 16, 256);
     EXPECT_EQ(w.lastTicket(), 0u);
     const std::uint64_t t1 = w.insert(1, 0x1);
     EXPECT_EQ(w.lastTicket(), t1);

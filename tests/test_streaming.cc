@@ -15,8 +15,11 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/history/folded_history.hh"
+#include "src/history/history_manager.hh"
 #include "src/predictors/zoo.hh"
 #include "src/sim/simulator.hh"
 #include "src/sim/suite_runner.hh"
@@ -272,6 +275,198 @@ TEST(SimulateMany, MatchesIndependentRunsPerPredictor)
         GeneratorBranchSource fresh(bench, 9000, 4096);
         expectSameResult(simulate(*lone, fresh), many[i]);
     }
+}
+
+// ---------------------------------------------------------------------
+// Shared fold bank: the immediate-engine hosts of one pass follow one
+// pass-level bank and still end exactly where running alone leaves them.
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** The mix: sweep-dse's eight points plus every kind that must not share. */
+std::vector<std::string>
+sharedBankMix()
+{
+    std::vector<std::string> specs;
+    for (const char *sic : {"8", "9", "10", "11"})
+        for (const char *gsc : {"9", "10"})
+            specs.push_back(std::string("tage-gsc+i@sic.logsize=") + sic +
+                            ",gsc.logsize=" + gsc);
+    for (const char *other : {"tage-gsc", "gehl+i", "tage-gsc+i@sim.delay=63",
+                              "meta(tage-gsc,gshare)"})
+        specs.push_back(other);
+    return specs;
+}
+
+/**
+ * Each of @p specs run alone over @p trace on its spec's engine (the
+ * first one warmed over @p warmup beforehand, when given) matches its
+ * copy in @p shared: the same result @p many holds, the same state.
+ */
+void
+expectEachMatchesItsLoneRun(const std::vector<std::string> &specs,
+                            const std::vector<PredictorPtr> &shared,
+                            const std::vector<SimResult> &many,
+                            const Trace &trace, const Trace *warmup)
+{
+    const Trace more = generateTrace(findBenchmark("MM-4"), 3000);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        const ParsedSpec parsed = parseSpec(specs[i]);
+        PredictorPtr lone = makePredictor(parsed);
+        if (warmup != nullptr && i == 0)
+            (void)simulate(*lone, *warmup);
+        TraceBranchSource source(trace);
+        expectSameResult(simulate(*lone, source,
+                                  applySpecDelay(parsed, SimOptions())),
+                         many[i]);
+        EXPECT_EQ(lone->stateDigest(), shared[i]->stateDigest()) << specs[i];
+
+        // The state left behind is the lone run's too: both go on over
+        // a second stream, on the pipeline engine (checkpoints and
+        // restores of the fold bank) for the hosts.
+        SimOptions next;
+        next.updateDelay = 8;
+        expectSameResult(simulate(*lone, more, next),
+                         simulate(*shared[i], more, next));
+        EXPECT_EQ(lone->stateDigest(), shared[i]->stateDigest()) << specs[i];
+    }
+}
+
+} // anonymous namespace
+
+TEST(SharedFoldBank, HostSlotsAreDeduplicated)
+{
+    for (const char *spec : {"tage-gsc", "tage-gsc+i"}) {
+        PredictorPtr p = makePredictor(spec);
+        ASSERT_NE(p->foldBank(), nullptr) << spec;
+        EXPECT_EQ(p->foldBank()->foldCount(), 41u) << spec;
+        EXPECT_EQ(p->foldBank()->slotCount(), 36u) << spec;
+    }
+    EXPECT_EQ(makePredictor("gshare")->foldBank(), nullptr);
+    EXPECT_EQ(makePredictor("meta(tage-gsc,gshare)")->foldBank(), nullptr);
+}
+
+TEST(SharedFoldBank, MixedPassMatchesLoneRunsAtAnOddChunkSize)
+{
+    const std::vector<std::string> specs = sharedBankMix();
+    const Trace trace = generateTrace(findBenchmark("SPEC2K6-12"), 7000);
+    std::vector<PredictorPtr> predictors;
+    std::vector<SimOptions> options;
+    for (const std::string &s : specs) {
+        const ParsedSpec parsed = parseSpec(s);
+        predictors.push_back(makePredictor(parsed));
+        options.push_back(applySpecDelay(parsed, SimOptions()));
+        options.back().collectPerPc = true;
+    }
+    // 1000-record chunks: the 256-record sub-spans straddle chunk ends.
+    TraceBranchSource source(trace, 1000);
+    std::vector<SimResult> many = simulateMany(predictors, source, options);
+    ASSERT_EQ(many.size(), specs.size());
+    for (const PredictorPtr &p : predictors)
+        if (p->foldBank() != nullptr)
+            EXPECT_FALSE(p->foldBank()->following());
+    for (SimResult &r : many)
+        r.perPcMispredictions.clear(); // the lone runs do not collect
+    expectEachMatchesItsLoneRun(specs, predictors, many, trace, nullptr);
+}
+
+TEST(SharedFoldBank, WarmedPredictorKeepsItsOwnBank)
+{
+    // The first predictor already ran over another stream: its history
+    // is not the pass's, so it must not follow, and the rest still
+    // share among themselves.
+    const std::vector<std::string> specs = sharedBankMix();
+    const Trace warmup = generateTrace(findBenchmark("WS03"), 2000);
+    const Trace trace = generateTrace(findBenchmark("SPEC2K6-12"), 5000);
+    std::vector<PredictorPtr> predictors;
+    std::vector<SimOptions> options;
+    for (const std::string &s : specs) {
+        const ParsedSpec parsed = parseSpec(s);
+        predictors.push_back(makePredictor(parsed));
+        options.push_back(applySpecDelay(parsed, SimOptions()));
+    }
+    (void)simulate(*predictors[0], warmup);
+    TraceBranchSource source(trace, 1000);
+    const std::vector<SimResult> many =
+        simulateMany(predictors, source, options);
+    expectEachMatchesItsLoneRun(specs, predictors, many, trace, &warmup);
+}
+
+namespace
+{
+
+/**
+ * A host-shaped predictor that checks, at every predict(), that its
+ * folds read the values a from-scratch recompute gives, and records
+ * whether it was following a pass bank at the time.
+ */
+class FoldProbePredictor : public ConditionalPredictor
+{
+  public:
+    explicit FoldProbePredictor(std::vector<std::pair<unsigned, unsigned>>
+                                    shapes)
+        : hist(1024), shapes(std::move(shapes))
+    {
+        for (const auto &[length, width] : this->shapes)
+            ids.push_back(hist.createFold(length, width));
+    }
+
+    bool predict(std::uint64_t pc) override
+    {
+        followed += hist.following();
+        for (std::size_t i = 0; i < ids.size(); ++i) {
+            FoldedHistory ref(shapes[i].first, shapes[i].second);
+            ref.recompute(hist.history());
+            wrong += hist.foldValue(ids[i]) != ref.value();
+        }
+        return (pc & 4) != 0;
+    }
+    void update(std::uint64_t pc, bool taken, std::uint64_t) override
+    {
+        hist.push(pushedHistoryBit(BranchType::CondDirect, taken), pc);
+    }
+    void trackOtherInst(std::uint64_t pc, BranchType type, bool taken,
+                        std::uint64_t) override
+    {
+        hist.push(pushedHistoryBit(type, taken), pc);
+    }
+    HistoryManager *foldBank() override { return &hist; }
+    std::string name() const override { return "fold-probe"; }
+    StorageAccount storage() const override { return StorageAccount(); }
+
+    HistoryManager hist;
+    std::vector<std::pair<unsigned, unsigned>> shapes;
+    std::vector<int> ids;
+    std::uint64_t followed = 0;
+    std::uint64_t wrong = 0;
+};
+
+} // anonymous namespace
+
+TEST(SharedFoldBank, FollowersReadTheirOwnFoldsFromThePassBank)
+{
+    FoldProbePredictor a({{37, 9}, {200, 11}, {5, 12}});
+    FoldProbePredictor b({{200, 11}, {64, 7}, {37, 9}, {1, 1}});
+    PredictorPtr host = makePredictor("tage-gsc");
+    const Trace trace = generateTrace(findBenchmark("MM-4"), 3000);
+    TraceBranchSource source(trace, 700);
+    const std::vector<SimResult> many =
+        simulateMany(std::vector<ConditionalPredictor *>{&a, &b, host.get()},
+                     source);
+    EXPECT_EQ(a.followed, many[0].conditionals);
+    EXPECT_EQ(b.followed, many[1].conditionals);
+    EXPECT_EQ(a.wrong, 0u);
+    EXPECT_EQ(b.wrong, 0u);
+    EXPECT_FALSE(a.hist.following());
+
+    // Alone, a predictor keeps its own bank.
+    FoldProbePredictor alone({{37, 9}});
+    TraceBranchSource again(trace, 700);
+    (void)simulate(alone, again);
+    EXPECT_EQ(alone.followed, 0u);
+    EXPECT_EQ(alone.wrong, 0u);
 }
 
 TEST(SimulateMany, EmptyPredictorListIsSafe)
